@@ -75,7 +75,7 @@ let views_accurate ctxs states =
     (fun v st ->
       Array.iteri
         (fun s w ->
-          let vw = st.State.views.(s) in
+          let vw = State.Views.get st.State.views s in
           let stw = states.(w) in
           if
             not
@@ -160,7 +160,8 @@ let legitimate_with ctxs graph =
   let parent_id v = Graph.id graph (if v = root then v else Tree.parent tree v) in
   Array.init n (fun v ->
       let views =
-        Array.map
+        State.views_of_array ctxs.(v)
+        @@ Array.map
           (fun w ->
             {
               State.w_root = root_id;
@@ -198,17 +199,10 @@ let dummy_ctxs graph =
   let n = Graph.n graph in
   Array.init n (fun v ->
       let nbrs = Array.copy (Graph.neighbors graph v) in
-      {
-        Node.node = v;
-        id = Graph.id graph v;
-        n;
-        neighbors = nbrs;
-        neighbor_ids = Array.map (Graph.id graph) nbrs;
-        send = (fun _ _ -> ());
-        note_suppressed = (fun _ -> ());
-        rng = Prng.create 0;
-        now = (fun () -> 0.0);
-      })
+      Node.make_ctx ~node:v ~id:(Graph.id graph v) ~n ~neighbors:nbrs
+        ~neighbor_ids:(Array.map (Graph.id graph) nbrs)
+        ~send:(fun _ _ -> ())
+        ())
 
 let legitimate_states graph = legitimate_with (dummy_ctxs graph) graph
 
@@ -228,17 +222,10 @@ struct
     let n = Graph.n graph in
     Array.init n (fun v ->
         let nbrs = Array.copy (Graph.neighbors graph v) in
-        {
-          Node.node = v;
-          id = Graph.id graph v;
-          n;
-          neighbors = nbrs;
-          neighbor_ids = Array.map (Graph.id graph) nbrs;
-          send = (fun dst msg -> outbox := (v, dst, msg) :: !outbox);
-          note_suppressed = (fun _ -> ());
-          rng = Prng.create 0;
-          now = (fun () -> 0.0);
-        })
+        Node.make_ctx ~node:v ~id:(Graph.id graph v) ~n ~neighbors:nbrs
+          ~neighbor_ids:(Array.map (Graph.id graph) nbrs)
+          ~send:(fun dst msg -> outbox := (v, dst, msg) :: !outbox)
+          ())
 
   let initial ctxs ~init graph =
     let n = Graph.n graph in

@@ -40,13 +40,10 @@ module Spy = struct
     (match msg with
     | Msg.Search { s_edge = initiator_id, responder_id; s_stack; _ }
       when ctx.Mdst_sim.Node.id = responder_id && State.locally_stabilized ctx st -> (
-        match State.slot_of ctx initiator_id with
-        | Some slot when not (State.is_tree_edge ctx st slot) ->
-            let ids =
-              List.rev_map (fun e -> e.Msg.e_id) s_stack @ [ ctx.Mdst_sim.Node.id ]
-            in
-            Queue.add (initiator_id, responder_id, ids) completed
-        | Some _ | None -> ())
+        let slot = Mdst_sim.Node.slot_of_id ctx initiator_id in
+        if slot >= 0 && not (State.is_tree_edge ctx st slot) then
+          let ids = List.rev_map (fun e -> e.Msg.e_id) s_stack @ [ ctx.Mdst_sim.Node.id ] in
+          Queue.add (initiator_id, responder_id, ids) completed)
     | _ -> ());
     A.on_message ctx st ~src msg
 

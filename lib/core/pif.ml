@@ -50,9 +50,8 @@ module Make (I : INPUT) = struct
   let is_root ctx = I.parent_of ctx.Node.id = ctx.Node.id
 
   let send_to_id ctx uid m =
-    match State.slot_of ctx uid with
-    | Some slot -> ctx.Node.send ctx.Node.neighbors.(slot) m
-    | None -> ()
+    let slot = Node.slot_of_id ctx uid in
+    if slot >= 0 then ctx.Node.send ctx.Node.neighbors.(slot) m
 
   let init ctx =
     ignore ctx;

@@ -277,11 +277,10 @@ end = struct
     && v.w_color = i.i_color
     && v.w_subtree_max = i.i_subtree_max
 
-  let update_view (st : State.t) slot (i : Msg.info) =
-    if view_matches st.views.(slot) i then st
-    else begin
-      let views = Array.copy st.views in
-      views.(slot) <-
+  let update_view ctx (st : State.t) slot (i : Msg.info) =
+    if view_matches (State.Views.get st.views slot) i then st
+    else
+      State.set_view ctx st slot
         {
           State.w_root = i.i_root;
           w_parent = i.i_parent;
@@ -291,14 +290,11 @@ end = struct
           w_color = i.i_color;
           w_subtree_max = i.i_subtree_max;
           w_fresh = true;
-        };
-      { st with views }
-    end
+        }
 
   let send_to_id ctx id msg =
-    match State.slot_of ctx id with
-    | Some slot -> ctx.Node.send ctx.Node.neighbors.(slot) msg
-    | None -> ()
+    let slot = Node.slot_of_id ctx id in
+    if slot >= 0 then ctx.Node.send ctx.Node.neighbors.(slot) msg
 
   (* ---------------------------------------------------------------- *)
   (* Spanning-tree module (rules R1 / R2, paper §3.2.1)                *)
@@ -326,30 +322,30 @@ end = struct
     if (not C.graceful_reattach) || st.parent = ctx.Node.id || st.root > ctx.Node.id then None
     else begin
       let orphaned =
-        match State.slot_of ctx st.parent with
-        | None -> true (* parent edge no longer exists *)
-        | Some slot ->
-            let v = st.views.(slot) in
-            v.State.w_fresh && v.w_root <> st.root && v.w_root = st.parent
-            (* parent reset itself and now claims its own identifier *)
+        let slot = Node.slot_of_id ctx st.parent in
+        slot < 0 (* parent edge no longer exists *)
+        ||
+        let v = State.Views.get st.views slot in
+        v.State.w_fresh && v.w_root <> st.root && v.w_root = st.parent
+        (* parent reset itself and now claims its own identifier *)
       in
       if not orphaned then None
       else begin
         let best = ref None in
-        Array.iteri
-          (fun slot (v : State.view) ->
-            if
-              v.State.w_fresh
-              && ctx.Node.neighbor_ids.(slot) <> st.parent
-              && v.w_root = st.root
-              && v.w_dist <= st.dist
-              && v.w_dist < ctx.Node.n
-              &&
-              match !best with
-              | Some (d, _) -> v.w_dist < d
-              | None -> true
-            then best := Some (v.State.w_dist, ctx.Node.neighbor_ids.(slot)))
-          st.views;
+        for slot = 0 to State.Views.length st.views - 1 do
+          let v = State.Views.get st.views slot in
+          if
+            v.State.w_fresh
+            && ctx.Node.neighbor_ids.(slot) <> st.parent
+            && v.w_root = st.root
+            && v.w_dist <= st.dist
+            && v.w_dist < ctx.Node.n
+            &&
+            match !best with
+            | Some (d, _) -> v.w_dist < d
+            | None -> true
+          then best := Some (v.State.w_dist, ctx.Node.neighbor_ids.(slot))
+        done;
         match !best with
         | Some (dist, parent_id) ->
             Mdst_util.Mutation.probe "proto:reattach";
@@ -363,53 +359,32 @@ end = struct
     | Some st -> st
     | None ->
     if State.new_root_candidate ctx st then create_new_root ctx st
-    else if State.better_parent ctx st then begin
-      (* argmin over (root, neighbour id) among fresh mirrors, tracked as a
-         slot index so the scan allocates nothing. *)
-      let views = st.views in
-      let best = ref (-1) in
-      for slot = 0 to Array.length views - 1 do
-        let v = views.(slot) in
-        if v.State.w_fresh && v.w_root < st.root && v.w_dist < ctx.Node.n then
-          if
-            !best < 0
-            ||
-            let b = views.(!best) in
-            v.w_root < b.State.w_root
-            || (v.w_root = b.State.w_root
-               && ctx.Node.neighbor_ids.(slot) < ctx.Node.neighbor_ids.(!best))
-          then best := slot
-      done;
-      if !best < 0 then st
+    else
+      (* argmin over (root, neighbour id) among fresh mirrors, read from
+         the views summary. *)
+      let best = State.better_parent_slot ctx st in
+      if best < 0 then st
       else begin
         Mdst_util.Mutation.probe "proto:r2-adopt";
-        let v = views.(!best) in
+        let v = State.Views.get st.views best in
         {
           st with
           State.root = v.State.w_root;
-          parent = ctx.Node.neighbor_ids.(!best);
+          parent = ctx.Node.neighbor_ids.(best);
           dist = v.w_dist + 1;
         }
       end
-    end
-    else st
 
   (* ---------------------------------------------------------------- *)
   (* Maximum-degree module (continuous PIF + colour wave, §3.2.3)      *)
   (* ---------------------------------------------------------------- *)
 
   (* Runs on every tick and every Info receipt, so it allocates only when
-     a variable actually moves: the children fold reads the views array
-     directly (no slot list), and each record update is skipped when the
-     new values equal the old. *)
+     a variable actually moves: the children's maximum comes from the views
+     summary, and each record update is skipped when the new values equal
+     the old. *)
   let apply_degree_rules ctx (st : State.t) =
-    let stm = ref (State.tree_degree ctx st) in
-    Array.iter
-      (fun (v : State.view) ->
-        if v.State.w_fresh && v.w_parent = ctx.Node.id && v.w_subtree_max > !stm then
-          stm := v.w_subtree_max)
-      st.views;
-    let stm = !stm in
+    let stm = State.pif_subtree_max ctx st in
     let st = if stm = st.State.subtree_max then st else { st with State.subtree_max = stm } in
     if st.parent = ctx.Node.id then
       if st.dmax <> stm then begin
@@ -418,12 +393,12 @@ end = struct
       end
       else st
     else
-      match State.slot_of ctx st.parent with
-      | Some slot when st.views.(slot).State.w_fresh ->
-          let v = st.views.(slot) in
-          if st.dmax = v.State.w_dmax && st.color = v.w_color then st
-          else { st with State.dmax = v.w_dmax; color = v.w_color }
-      | Some _ | None -> st
+      let slot = Node.slot_of_id ctx st.parent in
+      if slot < 0 then st
+      else
+        let v = State.Views.get st.views slot in
+        if (not v.State.w_fresh) || (st.dmax = v.w_dmax && st.color = v.w_color) then st
+        else { st with State.dmax = v.w_dmax; color = v.w_color }
 
   let recompute ctx st = apply_degree_rules ctx (apply_tree_rules ctx st)
 
@@ -472,13 +447,13 @@ end = struct
             Mdst_util.Mutation.probe "proto:search-deadend"
             (* whole tree explored without reaching the responder *)
         | last :: before -> (
-            match State.slot_of ctx last.Msg.e_id with
-            | Some slot when State.is_tree_edge ctx st slot ->
-                Mdst_util.Mutation.probe "proto:search-backtrack";
-                ctx.Node.send ctx.Node.neighbors.(slot)
-                  (Msg.Search
-                     { s_edge = edge; s_idblock = idblock; s_stack = before; s_visited = visited })
-            | Some _ | None -> ()))
+            let slot = Node.slot_of_id ctx last.Msg.e_id in
+            if slot >= 0 && State.is_tree_edge ctx st slot then begin
+              Mdst_util.Mutation.probe "proto:search-backtrack";
+              ctx.Node.send ctx.Node.neighbors.(slot)
+                (Msg.Search
+                   { s_edge = edge; s_idblock = idblock; s_stack = before; s_visited = visited })
+            end))
 
   let start_search ctx (st : State.t) ~responder_id ~idblock =
     continue_search ctx st
@@ -494,13 +469,21 @@ end = struct
      endpoints strictly below dmax - 1; a Deblock-initiated swap
      (deg_max = dmax - 1) only requires them below deg_max. *)
   let endpoints_ok ctx (st : State.t) ~t_slot ~deg_max =
-    let v = st.views.(t_slot) in
+    let v = State.Views.get st.views t_slot in
     v.State.w_fresh
     && (not (State.is_tree_edge ctx st t_slot))
     && deg_max <= st.dmax
     &&
     let bound = if deg_max >= st.dmax then deg_max - 1 else deg_max in
     max (State.tree_degree ctx st) v.State.w_deg < bound
+
+  (* Mirrored degree of neighbour [id] when fresh, else [absent]. *)
+  let fresh_deg_of ctx (st : State.t) id ~absent =
+    let slot = Node.slot_of_id ctx id in
+    if slot < 0 then absent
+    else
+      let v = State.Views.get st.views slot in
+      if v.State.w_fresh then v.w_deg else absent
 
   (* Everything a segment handler needs to know about its own position,
      gathered in ONE traversal (the handlers used to rescan the list once
@@ -551,61 +534,56 @@ end = struct
     let s_id, t_id = edge in
     if s_id <> ctx.Node.id then None
     else
-      match State.slot_of ctx t_id with
-      | None -> None
-      | Some t_slot ->
-          if
-            not
-              (State.locally_stabilized ctx st
-              && st.pending = None
-              && endpoints_ok ctx st ~t_slot ~deg_max)
-          then None
-          else begin
-            let v = st.views.(t_slot) in
-            match segment with
-            | [] -> None
-            | [ me ] ->
-                (* s = lower: the removed edge is our own parent link and the
-                   swap is a single local exchange.  The relieved node is
-                   [upper] — check it still carries deg_max. *)
-                let upper = if fst target = me then snd target else fst target in
-                let upper_deg =
-                  match State.slot_of ctx upper with
-                  | Some slot when st.views.(slot).State.w_fresh -> st.views.(slot).State.w_deg
-                  | Some _ | None -> -1
-                in
-                if me = fst target && st.parent = upper && upper_deg >= deg_max then begin
-                  (* paper Fig. 2 line 5: flip the colour after a swap so the
-                     neighbourhood freezes until it re-agrees — this is what
-                     keeps concurrent swaps in one clique from weaving a
-                     transient parent cycle. *)
-                  Mdst_util.Mutation.probe "proto:swap-commit-local";
-                  Some
-                    {
-                      st with
-                      State.parent = t_id;
-                      dist = v.State.w_dist + 1;
-                      color = not st.color;
-                    }
-                end
-                else None
-            | me :: next :: _ ->
-                if me <> ctx.Node.id || st.parent <> next then None
-                else begin
-                  Mdst_util.Mutation.probe "proto:swap-commit-chain";
-                  let st =
-                    {
-                      st with
-                      State.parent = t_id;
-                      dist = v.State.w_dist + 1;
-                      color = not st.color;
-                    }
-                  in
-                  send_to_id ctx next
-                    (Msg.Reverse { v_edge = edge; v_dist = st.State.dist; v_segment = segment });
-                  Some st
-                end
-          end
+      let t_slot = Node.slot_of_id ctx t_id in
+      if t_slot < 0 then None
+      else if
+        not
+          (State.locally_stabilized ctx st
+          && st.pending = None
+          && endpoints_ok ctx st ~t_slot ~deg_max)
+      then None
+      else begin
+        let v = State.Views.get st.views t_slot in
+        match segment with
+        | [] -> None
+        | [ me ] ->
+            (* s = lower: the removed edge is our own parent link and the
+               swap is a single local exchange.  The relieved node is
+               [upper] — check it still carries deg_max. *)
+            let upper = if fst target = me then snd target else fst target in
+            let upper_deg = fresh_deg_of ctx st upper ~absent:(-1) in
+            if me = fst target && st.parent = upper && upper_deg >= deg_max then begin
+              (* paper Fig. 2 line 5: flip the colour after a swap so the
+                 neighbourhood freezes until it re-agrees — this is what
+                 keeps concurrent swaps in one clique from weaving a
+                 transient parent cycle. *)
+              Mdst_util.Mutation.probe "proto:swap-commit-local";
+              Some
+                {
+                  st with
+                  State.parent = t_id;
+                  dist = v.State.w_dist + 1;
+                  color = not st.color;
+                }
+            end
+            else None
+        | me :: next :: _ ->
+            if me <> ctx.Node.id || st.parent <> next then None
+            else begin
+              Mdst_util.Mutation.probe "proto:swap-commit-chain";
+              let st =
+                {
+                  st with
+                  State.parent = t_id;
+                  dist = v.State.w_dist + 1;
+                  color = not st.color;
+                }
+              in
+              send_to_id ctx next
+                (Msg.Reverse { v_edge = edge; v_dist = st.State.dist; v_segment = segment });
+              Some st
+            end
+      end
 
   (* Entry point at [s] (either on Swap_req receipt, or locally when the
      responder itself is s). *)
@@ -623,21 +601,21 @@ end = struct
         then st
         else
           let _, t_id = edge in
-          match State.slot_of ctx t_id with
-          | Some t_slot when endpoints_ok ctx st ~t_slot ~deg_max ->
-              Mdst_util.Mutation.probe "proto:swap-lock";
-              let st =
-                {
-                  st with
-                  State.pending =
-                    Some { p_edge = edge; p_target = target; p_ttl = lock_ttl ctx };
-                }
-              in
-              send_to_id ctx next
-                (Msg.Remove
-                   { m_edge = edge; m_target = target; m_deg_max = deg_max; m_segment = segment });
-              st
-          | Some _ | None -> st)
+          let t_slot = Node.slot_of_id ctx t_id in
+          if t_slot < 0 || not (endpoints_ok ctx st ~t_slot ~deg_max) then st
+          else begin
+            Mdst_util.Mutation.probe "proto:swap-lock";
+            let st =
+              {
+                st with
+                State.pending = Some { p_edge = edge; p_target = target; p_ttl = lock_ttl ctx };
+              }
+            in
+            send_to_id ctx next
+              (Msg.Remove
+                 { m_edge = edge; m_target = target; m_deg_max = deg_max; m_segment = segment });
+            st
+          end)
     | _ -> st
 
   let handle_remove ctx (st : State.t) ~edge ~target ~deg_max ~segment =
@@ -650,11 +628,7 @@ end = struct
          grant. *)
       let w, z = target in
       let upper = if me = w then z else w in
-      let upper_deg =
-        match State.slot_of ctx upper with
-        | Some slot when st.views.(slot).State.w_fresh -> st.views.(slot).State.w_deg
-        | Some _ | None -> -1
-      in
+      let upper_deg = fresh_deg_of ctx st upper ~absent:(-1) in
       let valid =
         (me = w || me = z)
         && st.parent = upper
@@ -722,17 +696,13 @@ end = struct
      message proves, so the R2 rule does not fire on staleness the next
      Info would repair anyway. *)
   let patch_view (st : State.t) ctx ~nid ~parent ~dist =
-    match State.slot_of ctx nid with
-    | None -> st
-    | Some slot ->
-        let v = st.State.views.(slot) in
-        let w_parent = match parent with Some p -> p | None -> v.State.w_parent in
-        if v.State.w_fresh && v.w_parent = w_parent && v.w_dist = dist then st
-        else begin
-          let views = Array.copy st.State.views in
-          views.(slot) <- { v with State.w_parent; w_dist = dist; w_fresh = true };
-          { st with State.views = views }
-        end
+    let slot = Node.slot_of_id ctx nid in
+    if slot < 0 then st
+    else
+      let v = State.Views.get st.views slot in
+      let w_parent = match parent with Some p -> p | None -> v.State.w_parent in
+      if v.State.w_fresh && v.w_parent = w_parent && v.w_dist = dist then st
+      else State.set_view ctx st slot { v with State.w_parent; w_dist = dist; w_fresh = true }
 
   let handle_reverse ctx (st : State.t) ~src ~edge ~dist ~segment =
     let me = ctx.Node.id in
@@ -857,11 +827,7 @@ end = struct
     let fwd = List.rev stack in
     let path = fwd @ [ self_entry ctx st ] in
     let interior = match fwd with [] -> [] | _ :: rest -> rest in
-    let deg_i =
-      match State.slot_of ctx initiator_id with
-      | Some slot when st.State.views.(slot).State.w_fresh -> st.State.views.(slot).State.w_deg
-      | Some _ | None -> max_int
-    in
+    let deg_i = fresh_deg_of ctx st initiator_id ~absent:max_int in
     let deg_me = State.tree_degree ctx st in
     let endpoint_max = if deg_i = max_int then max_int else max deg_me deg_i in
     let dmax = st.State.dmax in
@@ -919,10 +885,10 @@ end = struct
     else begin
       let initiator_id, responder_id = edge in
       if ctx.Node.id = responder_id then begin
-        match State.slot_of ctx initiator_id with
-        | Some slot when not (State.is_tree_edge ctx st slot) ->
-            action_on_cycle ctx st ~initiator_id ~idblock ~stack
-        | Some _ | None -> st
+        let slot = Node.slot_of_id ctx initiator_id in
+        if slot >= 0 && not (State.is_tree_edge ctx st slot) then
+          action_on_cycle ctx st ~initiator_id ~idblock ~stack
+        else st
       end
       else begin
         continue_search ctx st ~edge ~idblock ~stack ~visited;
@@ -985,7 +951,7 @@ end = struct
         cursor := (!cursor + 1) mod deg;
         incr tried;
         let uid = ctx.Node.neighbor_ids.(slot) in
-        let v = st.State.views.(slot) in
+        let v = State.Views.get st.State.views slot in
         if (not (State.is_tree_edge ctx st slot)) && ctx.Node.id < uid && v.State.w_fresh
         then begin
           (* Prune only edges that can neither improve (endpoints <= dmax-2,
@@ -1035,13 +1001,10 @@ end = struct
 
   let on_message ctx (st : State.t) ~src msg =
     match msg with
-    | Msg.Info info -> (
-        match State.slot_of ctx (Graph_id.of_src ctx src) with
-        | Some slot ->
-            let st = recompute ctx (update_view st slot info) in
-            (* paper Fig. 2 line 2: Cycle_Search(NIL) on every receipt. *)
-            if C.search_on_info then maybe_start_search ctx st else st
-        | None -> st)
+    | Msg.Info info ->
+        let st = recompute ctx (update_view ctx st (Graph_id.slot_of_src ctx src) info) in
+        (* paper Fig. 2 line 2: Cycle_Search(NIL) on every receipt. *)
+        if C.search_on_info then maybe_start_search ctx st else st
     | ( Msg.Search _ | Msg.Swap_req _ | Msg.Remove _ | Msg.Grant _ | Msg.Reverse _
       | Msg.Update_dist _ | Msg.Deblock _ )
       when not C.enable_reduction ->

@@ -18,29 +18,6 @@ type view = {
   w_fresh : bool;  (* has an Info arrived from this neighbour yet *)
 }
 
-(* A pending swap this node is a segment participant of.  [busy_ttl] decays
-   every tick so a corrupted or abandoned lock always clears. *)
-type pending = { p_edge : int * int; p_target : int * int; p_ttl : int }
-
-type t = {
-  root : int;  (* believed tree-root identifier *)
-  parent : int;  (* parent id; own id when (believed) root *)
-  dist : int;
-  dmax : int;  (* believed degree of the tree, deg(T) *)
-  color : bool;  (* flips at the root whenever dmax changes *)
-  subtree_max : int;  (* PIF feedback: max tree-degree in my subtree *)
-  views : view array;  (* one slot per neighbour, same order as ctx.neighbors *)
-  pending : pending option;
-  deblock : (int * int) option;  (* (idblock, remaining ticks) *)
-  search_cursor : int;  (* rotates over neighbour slots for Search starts *)
-  (* Info dirty-bit suppression bookkeeping (inert — None/0 — unless the
-     config enables suppression): the public-variable snapshot last
-     gossiped and the ticks elapsed since, driving the periodic refresh
-     that keeps stabilization under a corrupted cache. *)
-  last_info : Msg.info option;
-  info_age : int;
-}
-
 let unknown_view = {
   w_root = max_int;
   w_parent = max_int;
@@ -52,35 +29,152 @@ let unknown_view = {
   w_fresh = false;
 }
 
+(* The mirror of all neighbours, one view per slot, plus a summary of it
+   computed for the owning node.  The summary answers the per-receipt
+   questions (children, R2 argmin, mirror agreement) in O(1), where a scan
+   of the array costs O(d) on every receipt.  It is a pure function of the
+   array and the owner ([id], [n], neighbour identifiers), computed by
+   every constructor ([of_array], [set], [unknown]), so it cannot go stale
+   and [=] on states compares exactly what it compared on bare arrays. *)
+module Views = struct
+  type t = {
+    arr : view array;
+    children : int;  (* fresh views whose parent is the owner *)
+    child_stm : int;  (* max w_subtree_max over those; min_int if none *)
+    best : int;  (* slot of the min (w_root, id) fresh view with w_dist < n; -1 if none *)
+    same_dmax : bool;  (* every view fresh with arr.(0)'s w_dmax (vacuous at d = 0) *)
+    same_color : bool;  (* likewise for w_color *)
+  }
+
+  let view_equal (a : view) b =
+    a.w_root = b.w_root && a.w_parent = b.w_parent && a.w_dist = b.w_dist && a.w_deg = b.w_deg
+    && a.w_dmax = b.w_dmax && a.w_color = b.w_color && a.w_subtree_max = b.w_subtree_max
+    && a.w_fresh = b.w_fresh
+
+  let summarize ~id ~n ~ids arr =
+    let d = Array.length arr in
+    if Array.length ids <> d then invalid_arg "State.Views: one view per neighbour expected";
+    let children = ref 0 and child_stm = ref min_int and best = ref (-1) in
+    let same_dmax = ref true and same_color = ref true in
+    for k = 0 to d - 1 do
+      let v = arr.(k) in
+      if not v.w_fresh then begin
+        same_dmax := false;
+        same_color := false
+      end
+      else begin
+        if v.w_parent = id then begin
+          incr children;
+          if v.w_subtree_max > !child_stm then child_stm := v.w_subtree_max
+        end;
+        if
+          v.w_dist < n
+          && (!best < 0
+             ||
+             let b = arr.(!best) in
+             v.w_root < b.w_root || (v.w_root = b.w_root && ids.(k) < ids.(!best)))
+        then best := k;
+        if v.w_dmax <> arr.(0).w_dmax then same_dmax := false;
+        if v.w_color <> arr.(0).w_color then same_color := false
+      end
+    done;
+    {
+      arr;
+      children = !children;
+      child_stm = !child_stm;
+      best = !best;
+      same_dmax = !same_dmax;
+      same_color = !same_color;
+    }
+
+  let of_array ~id ~n ~ids arr = summarize ~id ~n ~ids (Array.copy arr)
+
+  (* [summarize] of [d] never-heard-from views, without the scan: every
+     engine set-up builds one per node. *)
+  let unknown d =
+    {
+      arr = Array.make d unknown_view;
+      children = 0;
+      child_stm = min_int;
+      best = -1;
+      same_dmax = d = 0;
+      same_color = d = 0;
+    }
+
+  let set ~id ~n ~ids t slot v =
+    if view_equal t.arr.(slot) v then t
+    else begin
+      let arr = Array.copy t.arr in
+      arr.(slot) <- v;
+      summarize ~id ~n ~ids arr
+    end
+
+  let get t slot = t.arr.(slot)
+  let length t = Array.length t.arr
+  let to_array t = Array.copy t.arr
+end
+
+(* A pending swap this node is a segment participant of.  [busy_ttl] decays
+   every tick so a corrupted or abandoned lock always clears. *)
+type pending = { p_edge : int * int; p_target : int * int; p_ttl : int }
+
+type t = {
+  root : int;  (* believed tree-root identifier *)
+  parent : int;  (* parent id; own id when (believed) root *)
+  dist : int;
+  dmax : int;  (* believed degree of the tree, deg(T) *)
+  color : bool;  (* flips at the root whenever dmax changes *)
+  subtree_max : int;  (* PIF feedback: max tree-degree in my subtree *)
+  views : Views.t;  (* one slot per neighbour, same order as ctx.neighbors *)
+  pending : pending option;
+  deblock : (int * int) option;  (* (idblock, remaining ticks) *)
+  search_cursor : int;  (* rotates over neighbour slots for Search starts *)
+  (* Info dirty-bit suppression bookkeeping (inert — None/0 — unless the
+     config enables suppression): the public-variable snapshot last
+     gossiped and the ticks elapsed since, driving the periodic refresh
+     that keeps stabilization under a corrupted cache. *)
+  last_info : Msg.info option;
+  info_age : int;
+}
+
+(* [arr] must be fresh: it is not copied. *)
+let own_views ctx arr =
+  Views.summarize ~id:ctx.Mdst_sim.Node.id ~n:ctx.n ~ids:ctx.neighbor_ids arr
+
+let views_of_array ctx arr = own_views ctx (Array.copy arr)
+
+let set_view ctx st slot v =
+  let views =
+    Views.set ~id:ctx.Mdst_sim.Node.id ~n:ctx.n ~ids:ctx.neighbor_ids st.views slot v
+  in
+  if views == st.views then st else { st with views }
+
 (* --- Local tree structure, derived from own vars + mirror ---------------- *)
 
-let slot_of ctx nid =
-  let rec find k =
-    if k >= Array.length ctx.Mdst_sim.Node.neighbor_ids then None
-    else if ctx.neighbor_ids.(k) = nid then Some k
-    else find (k + 1)
-  in
-  find 0
+let is_child ctx (v : view) = v.w_fresh && v.w_parent = ctx.Mdst_sim.Node.id
 
 (* is_tree_edge(v, u) = parent_v = ID_u or parent_u = ID_v (paper §3.1). *)
 let is_tree_edge ctx st slot =
-  let uid = ctx.Mdst_sim.Node.neighbor_ids.(slot) in
-  st.parent = uid || (st.views.(slot).w_fresh && st.views.(slot).w_parent = ctx.id)
+  st.parent = ctx.Mdst_sim.Node.neighbor_ids.(slot) || is_child ctx st.views.arr.(slot)
 
+(* The children counted by the summary, plus the parent edge unless the
+   parent's mirror also names us (then it is already counted).  A root
+   skips the lookup: no neighbour carries its own identifier. *)
 let tree_degree ctx st =
-  let d = ref 0 in
-  for slot = 0 to Array.length ctx.Mdst_sim.Node.neighbors - 1 do
-    if is_tree_edge ctx st slot then incr d
-  done;
-  !d
+  if st.parent = ctx.Mdst_sim.Node.id then st.views.children
+  else
+    let ps = Mdst_sim.Node.slot_of_id ctx st.parent in
+    if ps >= 0 && not (is_child ctx st.views.arr.(ps)) then st.views.children + 1
+    else st.views.children
 
 let tree_children_slots ctx st =
   let acc = ref [] in
-  for slot = Array.length ctx.Mdst_sim.Node.neighbors - 1 downto 0 do
-    let v = st.views.(slot) in
-    if v.w_fresh && v.w_parent = ctx.Mdst_sim.Node.id then acc := slot :: !acc
+  for slot = Views.length st.views - 1 downto 0 do
+    if is_child ctx st.views.arr.(slot) then acc := slot :: !acc
   done;
   !acc
+
+let pif_subtree_max ctx st = max (tree_degree ctx st) st.views.child_stm
 
 (* --- Paper predicates ----------------------------------------------------- *)
 
@@ -92,26 +186,23 @@ let tree_children_slots ctx st =
    upper bound on the network size: claims with dist >= n are ignored and
    holding one makes the node a new-root candidate. *)
 
-(* The stabilization predicates run on every tick and every Search hop;
-   the scans are top-level tail-recursive functions (not closures passed
-   to Array.exists/for_all, nor local recursion capturing the state) so
-   the hot path allocates nothing. *)
-let rec better_parent_from views root n i =
-  i < Array.length views
-  &&
-  let v = views.(i) in
-  (v.w_fresh && v.w_root < root && v.w_dist < n) || better_parent_from views root n (i + 1)
+(* The stabilization predicates run on every tick, every Info receipt and
+   every Search hop; they read the summary and the id index, so they
+   allocate nothing and cost O(log d) at most. *)
+let better_parent_slot _ctx st =
+  let b = st.views.best in
+  if b >= 0 && st.views.arr.(b).w_root < st.root then b else -1
 
-let better_parent ctx st = better_parent_from st.views st.root ctx.Mdst_sim.Node.n 0
+let better_parent ctx st = better_parent_slot ctx st >= 0
 
 let coherent_parent ctx st =
   if st.parent = ctx.Mdst_sim.Node.id then st.root = ctx.id
   else
-    match slot_of ctx st.parent with
-    | None -> false
-    | Some slot ->
-        let v = st.views.(slot) in
-        (not v.w_fresh) || v.w_root = st.root
+    let slot = Mdst_sim.Node.slot_of_id ctx st.parent in
+    slot >= 0
+    &&
+    let v = st.views.arr.(slot) in
+    (not v.w_fresh) || v.w_root = st.root
 
 let coherent_distance ctx st =
   if st.parent = ctx.Mdst_sim.Node.id then st.dist = 0
@@ -119,11 +210,11 @@ let coherent_distance ctx st =
     st.dist >= 0
     && st.dist <= ctx.Mdst_sim.Node.n
     &&
-    match slot_of ctx st.parent with
-    | None -> false
-    | Some slot ->
-        let v = st.views.(slot) in
-        (not v.w_fresh) || st.dist = v.w_dist + 1
+    let slot = Mdst_sim.Node.slot_of_id ctx st.parent in
+    slot >= 0
+    &&
+    let v = st.views.arr.(slot) in
+    (not v.w_fresh) || st.dist = v.w_dist + 1
 
 let new_root_candidate ctx st =
   (not (coherent_parent ctx st))
@@ -132,21 +223,11 @@ let new_root_candidate ctx st =
 
 let tree_stabilized ctx st = (not (better_parent ctx st)) && not (new_root_candidate ctx st)
 
-let rec degree_stabilized_from views dmax i =
-  i >= Array.length views
-  ||
-  let v = views.(i) in
-  v.w_fresh && v.w_dmax = dmax && degree_stabilized_from views dmax (i + 1)
+let degree_stabilized st =
+  st.views.same_dmax && (Views.length st.views = 0 || st.views.arr.(0).w_dmax = st.dmax)
 
-let degree_stabilized st = degree_stabilized_from st.views st.dmax 0
-
-let rec color_stabilized_from views color i =
-  i >= Array.length views
-  ||
-  let v = views.(i) in
-  v.w_fresh && v.w_color = color && color_stabilized_from views color (i + 1)
-
-let color_stabilized st = color_stabilized_from st.views st.color 0
+let color_stabilized st =
+  st.views.same_color && (Views.length st.views = 0 || st.views.arr.(0).w_color = st.color)
 
 let locally_stabilized ctx st =
   tree_stabilized ctx st && degree_stabilized st && color_stabilized st
@@ -162,7 +243,7 @@ let clean ctx =
     dmax = 0;
     color = false;
     subtree_max = 0;
-    views = Array.make deg unknown_view;
+    views = Views.unknown deg;
     pending = None;
     deblock = None;
     search_cursor = 0;
@@ -198,7 +279,7 @@ let random ?(suppression = false) ctx rng =
     dmax = P.int rng (ctx.n + 1);
     color = P.bool rng;
     subtree_max = P.int rng (ctx.n + 1);
-    views = Array.init deg (fun _ -> rand_view ());
+    views = own_views ctx (Array.init deg (fun _ -> rand_view ()));
     pending =
       (if P.bool rng then None
        else
@@ -240,7 +321,7 @@ let bits ~n st =
   let suppression =
     match st.last_info with None -> 0 | Some _ -> (7 * id) + Sizing.bool_bits
   in
-  own + (Array.length st.views * per_view) + suppression
+  own + (Views.length st.views * per_view) + suppression
 
 let pp ctx ppf st =
   Format.fprintf ppf "{id=%d root=%d parent=%d dist=%d deg=%d dmax=%d stm=%d%s%s}"

@@ -18,6 +18,41 @@ type view = {
   w_fresh : bool;  (** has any Info arrived from this neighbour yet *)
 }
 
+(** The whole mirror: one {!view} per neighbour slot, plus a summary of
+    it computed for the owning node (its identifier, [n] and neighbour
+    identifiers), from which {!tree_degree}, {!better_parent},
+    {!better_parent_slot}, {!pif_subtree_max} and {!locally_stabilized}
+    answer in O(log d) rather than O(d).
+
+    Invariants: the summary is a pure function of the array and the owner,
+    and the type is abstract: outside this module {!Views.of_array} and
+    {!Views.set} are its only constructors (plus {!clean} and {!random}),
+    so the summary can never be stale, and [=] on two states of the same
+    node holds exactly when their arrays are equal.
+    A value belongs to one owner: building it with one node's identifiers
+    and reading it through another's context gives wrong answers. *)
+module Views : sig
+  type t
+
+  val of_array : id:int -> n:int -> ids:int array -> view array -> t
+  (** [of_array ~id ~n ~ids a]: the mirror [a] (copied) of the node with
+      identifier [id] in a network of size [n] whose neighbour identifiers,
+      slot by slot, are [ids].  Raises [Invalid_argument] unless
+      [a] and [ids] have the same length.  O(d). *)
+
+  val set : id:int -> n:int -> ids:int array -> t -> int -> view -> t
+  (** [set ~id ~n ~ids t slot v]: [t] with slot [slot] replaced by [v].
+      Returns [t] itself (no copy) when the slot already holds [v]; else
+      copies the array and recomputes the summary, O(d). *)
+
+  val get : t -> int -> view
+
+  val length : t -> int
+
+  val to_array : t -> view array
+  (** A fresh copy of the mirror. *)
+end
+
 (** A pending swap this node is a segment participant of.  [p_ttl] decays
     every tick so a corrupted or abandoned lock always clears. *)
 type pending = { p_edge : int * int; p_target : int * int; p_ttl : int }
@@ -29,7 +64,7 @@ type t = {
   dmax : int;  (** believed degree of the tree, deg(T) *)
   color : bool;  (** flips at the root whenever dmax changes (§3.2.3) *)
   subtree_max : int;  (** PIF feedback: max tree degree in my subtree *)
-  views : view array;  (** one slot per neighbour, in [ctx.neighbors] order *)
+  views : Views.t;  (** one slot per neighbour, in [ctx.neighbors] order *)
   pending : pending option;
   deblock : (int * int) option;  (** (idblock, remaining ticks) *)
   search_cursor : int;  (** rotates over neighbour slots for Search starts *)
@@ -43,25 +78,39 @@ type t = {
 val unknown_view : view
 (** The not-yet-heard-from mirror ([w_fresh = false]). *)
 
-(** {1 Derived tree structure} *)
+val views_of_array : 'msg Mdst_sim.Node.ctx -> view array -> Views.t
+(** {!Views.of_array} for the node of [ctx]. *)
 
-val slot_of : 'msg Mdst_sim.Node.ctx -> int -> int option
-(** Neighbour-array slot of a protocol identifier, if adjacent. *)
+val set_view : 'msg Mdst_sim.Node.ctx -> t -> int -> view -> t
+(** [set_view ctx st slot v]: [st] with mirror slot [slot] replaced by [v];
+    [st] itself when nothing changes. *)
+
+(** {1 Derived tree structure} *)
 
 val is_tree_edge : 'msg Mdst_sim.Node.ctx -> t -> int -> bool
 (** [is_tree_edge ctx st slot] — the paper's
     [parent_v = ID_u or parent_u = ID_v], evaluated on own state + mirror. *)
 
 val tree_degree : 'msg Mdst_sim.Node.ctx -> t -> int
+(** Number of tree edges at this node, per {!is_tree_edge}.  O(log d). *)
 
 val tree_children_slots : 'msg Mdst_sim.Node.ctx -> t -> int list
 (** Slots of neighbours whose mirrored parent pointer designates us. *)
+
+val pif_subtree_max : 'msg Mdst_sim.Node.ctx -> t -> int
+(** The PIF feedback value: the max of {!tree_degree} and every fresh
+    child's mirrored [w_subtree_max].  O(log d). *)
 
 (** {1 Paper predicates (§3.1)} *)
 
 val better_parent : 'msg Mdst_sim.Node.ctx -> t -> bool
 (** A fresh neighbour claims a strictly smaller root (with an in-bound
     distance — see the count-to-infinity note in the implementation). *)
+
+val better_parent_slot : 'msg Mdst_sim.Node.ctx -> t -> int
+(** The neighbour rule R2 adopts: the slot minimising (root, identifier)
+    over fresh mirrors with an in-bound distance, when its root is below
+    ours; [-1] when {!better_parent} is false. *)
 
 val coherent_parent : 'msg Mdst_sim.Node.ctx -> t -> bool
 

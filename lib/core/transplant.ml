@@ -18,12 +18,15 @@ let states ~old_graph ~new_graph old_states =
       let view_of_id id =
         let rec find k =
           if k >= Array.length old_nbrs then State.unknown_view
-          else if Graph.id old_graph old_nbrs.(k) = id then st.State.views.(k)
+          else if Graph.id old_graph old_nbrs.(k) = id then State.Views.get st.State.views k
           else find (k + 1)
         in
         find 0
       in
-      let views = Array.map (fun u -> view_of_id (Graph.id new_graph u)) new_nbrs in
+      let ids = Array.map (Graph.id new_graph) new_nbrs in
+      let views =
+        State.Views.of_array ~id:(Graph.id new_graph v) ~n ~ids (Array.map view_of_id ids)
+      in
       { st with State.views })
 
 let remove_tree_edge rng graph tree =

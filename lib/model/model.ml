@@ -68,6 +68,9 @@ type local = {
   send : int -> Msg.t -> unit;  (* by slot *)
 }
 
+(* Mirror slot [slot] of a node state. *)
+let view (st : State.t) slot = State.Views.get st.State.views slot
+
 let slots l = List.init (Array.length l.nbrs) Fun.id
 
 let slot_of l nid =
@@ -80,6 +83,9 @@ let slot_of l nid =
 
 let send_to_id l id msg = match slot_of l id with Some slot -> l.send slot msg | None -> ()
 
+let set_view l (st : State.t) slot v =
+  { st with State.views = State.Views.set ~id:l.id ~n:l.n ~ids:l.nbr_ids st.State.views slot v }
+
 let lock_ttl l = l.p.busy_ttl + (8 * l.n)
 
 (* ---------------------------------------------------------------- *)
@@ -89,21 +95,21 @@ let lock_ttl l = l.p.busy_ttl + (8 * l.n)
 let is_tree_edge l (st : State.t) slot =
   let uid = l.nbr_ids.(slot) in
   st.State.parent = uid
-  || (st.views.(slot).State.w_fresh && st.views.(slot).State.w_parent = l.id)
+  || ((view st slot).State.w_fresh && (view st slot).State.w_parent = l.id)
 
 let tree_degree l st = List.length (List.filter (is_tree_edge l st) (slots l))
 
 let tree_children_slots l (st : State.t) =
   List.filter
     (fun slot ->
-      let v = st.State.views.(slot) in
+      let v = view st slot in
       v.State.w_fresh && v.w_parent = l.id)
     (slots l)
 
 let better_parent l (st : State.t) =
   List.exists
     (fun slot ->
-      let v = st.State.views.(slot) in
+      let v = view st slot in
       v.State.w_fresh && v.w_root < st.root && v.w_dist < l.n)
     (slots l)
 
@@ -113,7 +119,7 @@ let coherent_parent l (st : State.t) =
     match slot_of l st.State.parent with
     | None -> false
     | Some slot ->
-        let v = st.views.(slot) in
+        let v = view st slot in
         (not v.State.w_fresh) || v.w_root = st.root
 
 let coherent_distance l (st : State.t) =
@@ -125,7 +131,7 @@ let coherent_distance l (st : State.t) =
     match slot_of l st.State.parent with
     | None -> false
     | Some slot ->
-        let v = st.views.(slot) in
+        let v = view st slot in
         (not v.State.w_fresh) || st.dist = v.w_dist + 1
 
 let new_root_candidate l st =
@@ -134,10 +140,14 @@ let new_root_candidate l st =
 let tree_stabilized l st = (not (better_parent l st)) && not (new_root_candidate l st)
 
 let degree_stabilized (st : State.t) =
-  Array.for_all (fun v -> v.State.w_fresh && v.w_dmax = st.dmax) st.State.views
+  Array.for_all
+    (fun v -> v.State.w_fresh && v.w_dmax = st.dmax)
+    (State.Views.to_array st.State.views)
 
 let color_stabilized (st : State.t) =
-  Array.for_all (fun v -> v.State.w_fresh && v.w_color = st.color) st.State.views
+  Array.for_all
+    (fun v -> v.State.w_fresh && v.w_color = st.color)
+    (State.Views.to_array st.State.views)
 
 let locally_stabilized l st =
   tree_stabilized l st && degree_stabilized st && color_stabilized st
@@ -175,9 +185,8 @@ let broadcast_info l (st : State.t) =
       { st with State.last_info = Some i; info_age = 0 }
     end
 
-let update_view (st : State.t) slot (i : Msg.info) =
-  let views = Array.copy st.State.views in
-  views.(slot) <-
+let update_view l (st : State.t) slot (i : Msg.info) =
+  set_view l st slot
     {
       State.w_root = i.Msg.i_root;
       w_parent = i.i_parent;
@@ -187,8 +196,7 @@ let update_view (st : State.t) slot (i : Msg.info) =
       w_color = i.i_color;
       w_subtree_max = i.i_subtree_max;
       w_fresh = true;
-    };
-  { st with State.views }
+    }
 
 (* ---------------------------------------------------------------- *)
 (* Spanning-tree module (rules R1 / R2)                              *)
@@ -203,7 +211,7 @@ let try_graceful_reattach l (st : State.t) =
       match slot_of l st.State.parent with
       | None -> true
       | Some slot ->
-          let v = st.views.(slot) in
+          let v = view st slot in
           v.State.w_fresh && v.w_root <> st.root && v.w_root = st.parent
     in
     if not orphaned then None
@@ -214,7 +222,7 @@ let try_graceful_reattach l (st : State.t) =
       let best =
         List.fold_left
           (fun best slot ->
-            let v = st.State.views.(slot) in
+            let v = view st slot in
             if
               v.State.w_fresh
               && l.nbr_ids.(slot) <> st.parent
@@ -240,12 +248,12 @@ let apply_tree_rules l (st : State.t) =
         let best =
           List.fold_left
             (fun best slot ->
-              let v = st.State.views.(slot) in
+              let v = view st slot in
               if v.State.w_fresh && v.w_root < st.root && v.w_dist < l.n then
                 match best with
                 | None -> Some slot
                 | Some b ->
-                    let bv = st.views.(b) in
+                    let bv = view st b in
                     if
                       v.w_root < bv.State.w_root
                       || (v.w_root = bv.State.w_root && l.nbr_ids.(slot) < l.nbr_ids.(b))
@@ -257,7 +265,7 @@ let apply_tree_rules l (st : State.t) =
         (match best with
         | None -> st
         | Some slot ->
-            let v = st.views.(slot) in
+            let v = view st slot in
             { st with State.root = v.State.w_root; parent = l.nbr_ids.(slot); dist = v.w_dist + 1 })
       else st
 
@@ -269,7 +277,7 @@ let apply_degree_rules l (st : State.t) =
   let stm =
     List.fold_left
       (fun acc slot ->
-        let v = st.State.views.(slot) in
+        let v = view st slot in
         if v.State.w_fresh && v.w_parent = l.id then max acc v.w_subtree_max else acc)
       (tree_degree l st) (slots l)
   in
@@ -278,8 +286,8 @@ let apply_degree_rules l (st : State.t) =
     if st.dmax <> stm then { st with State.dmax = stm; color = not st.color } else st
   else
     match slot_of l st.State.parent with
-    | Some slot when st.views.(slot).State.w_fresh ->
-        let v = st.views.(slot) in
+    | Some slot when (view st slot).State.w_fresh ->
+        let v = view st slot in
         { st with State.dmax = v.State.w_dmax; color = v.w_color }
     | Some _ | None -> st
 
@@ -333,7 +341,7 @@ let start_search l st ~responder_id ~idblock =
 (* ---------------------------------------------------------------- *)
 
 let endpoints_ok l (st : State.t) ~t_slot ~deg_max =
-  let v = st.State.views.(t_slot) in
+  let v = view st t_slot in
   v.State.w_fresh
   && (not (is_tree_edge l st t_slot))
   && deg_max <= st.dmax
@@ -366,7 +374,7 @@ let segment_is_last me segment =
 
 let fresh_deg_of l (st : State.t) id =
   match slot_of l id with
-  | Some slot when st.State.views.(slot).State.w_fresh -> st.views.(slot).State.w_deg
+  | Some slot when (view st slot).State.w_fresh -> (view st slot).State.w_deg
   | Some _ | None -> -1
 
 let push_update_dist l (st : State.t) =
@@ -388,7 +396,7 @@ let commit_at_s l (st : State.t) ~edge ~target ~deg_max ~segment =
             && endpoints_ok l st ~t_slot ~deg_max)
         then None
         else
-          let v = st.State.views.(t_slot) in
+          let v = view st t_slot in
           (match segment with
           | [] -> None
           | [ me ] ->
@@ -496,11 +504,9 @@ let patch_view l (st : State.t) ~nid ~parent ~dist =
   match slot_of l nid with
   | None -> st
   | Some slot ->
-      let v = st.State.views.(slot) in
+      let v = view st slot in
       let w_parent = match parent with Some p -> p | None -> v.State.w_parent in
-      let views = Array.copy st.State.views in
-      views.(slot) <- { v with State.w_parent; w_dist = dist; w_fresh = true };
-      { st with State.views }
+      set_view l st slot { v with State.w_parent; w_dist = dist; w_fresh = true }
 
 let handle_reverse l (st : State.t) ~sender_id ~edge ~dist ~segment =
   let me = l.id in
@@ -589,7 +595,7 @@ let action_on_cycle l (st : State.t) ~initiator_id ~idblock ~stack =
   let interior = match fwd with [] -> [] | _ :: rest -> rest in
   let deg_i =
     match slot_of l initiator_id with
-    | Some slot when st.State.views.(slot).State.w_fresh -> st.views.(slot).State.w_deg
+    | Some slot when (view st slot).State.w_fresh -> (view st slot).State.w_deg
     | Some _ | None -> max_int
   in
   let deg_me = tree_degree l st in
@@ -701,7 +707,7 @@ let maybe_start_search l (st : State.t) =
         let slot = cursor mod deg in
         let cursor = (cursor + 1) mod deg in
         let uid = l.nbr_ids.(slot) in
-        let v = st.State.views.(slot) in
+        let v = view st slot in
         if (not (is_tree_edge l st slot)) && l.id < uid && v.State.w_fresh then begin
           let worth =
             match idblock with
@@ -759,7 +765,7 @@ let on_message l (st : State.t) ~src_node msg =
   | Msg.Info info -> (
       match slot_of l sender_id with
       | Some slot ->
-          let st = recompute l (update_view st slot info) in
+          let st = recompute l (update_view l st slot info) in
           if l.p.search_on_info then maybe_start_search l st else st
       | None -> st)
   | ( Msg.Search _ | Msg.Swap_req _ | Msg.Remove _ | Msg.Grant _ | Msg.Reverse _

@@ -178,23 +178,17 @@ module Make (A : Node.AUTOMATON) = struct
         | None -> ignore (enqueue_raw t ?rng ~src ~dst msg)
         | Some events -> tamper fs events)
 
-  let make_ctx t i =
+  (* [note_suppressed] and [now] read only engine-wide fields, so every
+     node shares one closure of each. *)
+  let make_ctx t ~note_suppressed ~now ~rng i =
     let neighbors = Graph.neighbors t.graph i in
-    {
-      Node.node = i;
-      id = Graph.id t.graph i;
-      n = Graph.n t.graph;
-      neighbors;
-      neighbor_ids = Array.map (Graph.id t.graph) neighbors;
-      send =
-        (fun dst msg ->
-          if not (Graph.mem_edge t.graph i dst) then
-            invalid_arg (Printf.sprintf "Engine: node %d sending to non-neighbour %d" i dst);
-          enqueue t ~src:i ~dst msg);
-      note_suppressed = (fun k -> Metrics.record_suppressed t.metrics k);
-      rng = Prng.create 0 (* replaced below *);
-      now = (fun () -> t.now);
-    }
+    Node.make_ctx ~node:i ~id:(Graph.id t.graph i) ~n:(Graph.n t.graph) ~neighbors
+      ~neighbor_ids:(Array.map (Graph.id t.graph) neighbors)
+      ~send:(fun dst msg ->
+        if not (Graph.mem_edge t.graph i dst) then
+          invalid_arg (Printf.sprintf "Engine: node %d sending to non-neighbour %d" i dst);
+        enqueue t ~src:i ~dst msg)
+      ~note_suppressed ~now ~rng ()
 
   let create ?(latency = Latency.uniform ()) ?(tick_period = 1.0) ?(seed = 42)
       ?(init = `Clean) graph =
@@ -231,9 +225,9 @@ module Make (A : Node.AUTOMATON) = struct
         tampered_until = neg_infinity;
       }
     in
+    let note_suppressed k = Metrics.record_suppressed t.metrics k and now () = t.now in
     for i = 0 to n - 1 do
-      let ctx = make_ctx t i in
-      t.ctxs.(i) <- { ctx with Node.rng = Prng.split rng }
+      t.ctxs.(i) <- make_ctx t ~note_suppressed ~now ~rng:(Prng.split rng) i
     done;
     (* Initial states are installed without letting handlers send. *)
     for i = 0 to n - 1 do
@@ -338,8 +332,8 @@ module Make (A : Node.AUTOMATON) = struct
             (Graph.neighbors new_graph u));
     t.graph <- new_graph;
     for i = 0 to Graph.n new_graph - 1 do
-      let kept_rng = t.ctxs.(i).Node.rng in
-      t.ctxs.(i) <- { (make_ctx t i) with Node.rng = kept_rng }
+      let c = t.ctxs.(i) in
+      t.ctxs.(i) <- make_ctx t ~note_suppressed:c.Node.note_suppressed ~now:c.now ~rng:c.rng i
     done;
     let remapped = remap ~old_graph ~new_graph t.states in
     if remapped != t.states then Array.blit remapped 0 t.states 0 (Array.length t.states)

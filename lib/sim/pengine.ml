@@ -253,21 +253,15 @@ module Make (A : Node.AUTOMATON) = struct
   let make_ctx t i =
     let sh = t.shards.(t.part.(i)) in
     let neighbors = Graph.neighbors t.graph i in
-    {
-      Node.node = i;
-      id = Graph.id t.graph i;
-      n = Graph.n t.graph;
-      neighbors;
-      neighbor_ids = Array.map (Graph.id t.graph) neighbors;
-      send =
-        (fun dst msg ->
-          if not (Graph.mem_edge t.graph i dst) then
-            invalid_arg (Printf.sprintf "Pengine: node %d sending to non-neighbour %d" i dst);
-          enqueue t sh ~src:i ~dst msg);
-      note_suppressed = (fun k -> Metrics.record_suppressed sh.metrics k);
-      rng = Prng.create 0 (* replaced below *);
-      now = (fun () -> sh.now);
-    }
+    (* rng: the default is replaced below *)
+    Node.make_ctx ~node:i ~id:(Graph.id t.graph i) ~n:(Graph.n t.graph) ~neighbors
+      ~neighbor_ids:(Array.map (Graph.id t.graph) neighbors)
+      ~send:(fun dst msg ->
+        if not (Graph.mem_edge t.graph i dst) then
+          invalid_arg (Printf.sprintf "Pengine: node %d sending to non-neighbour %d" i dst);
+        enqueue t sh ~src:i ~dst msg)
+      ~note_suppressed:(fun k -> Metrics.record_suppressed sh.metrics k)
+      ~now:(fun () -> sh.now) ()
 
   let fresh_floors graph =
     Array.init (Graph.n graph) (fun u -> Array.make (Graph.degree graph u) neg_infinity)

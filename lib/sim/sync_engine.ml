@@ -19,23 +19,16 @@ module Make (A : Node.AUTOMATON) = struct
 
   let make_ctx t i =
     let neighbors = Graph.neighbors t.graph i in
-    {
-      Node.node = i;
-      id = Graph.id t.graph i;
-      n = Graph.n t.graph;
-      neighbors;
-      neighbor_ids = Array.map (Graph.id t.graph) neighbors;
-      send =
-        (fun dst msg ->
-          if not (Graph.mem_edge t.graph i dst) then
-            invalid_arg "Sync_engine: sending to non-neighbour";
-          Metrics.record_send t.metrics ~label:(A.msg_label msg)
-            ~bits:(A.msg_bits ~n:(Graph.n t.graph) msg);
-          Queue.add (i, msg) t.outbox.(dst));
-      note_suppressed = (fun k -> Metrics.record_suppressed t.metrics k);
-      rng = Prng.create 0;
-      now = (fun () -> float_of_int t.round_count);
-    }
+    Node.make_ctx ~node:i ~id:(Graph.id t.graph i) ~n:(Graph.n t.graph) ~neighbors
+      ~neighbor_ids:(Array.map (Graph.id t.graph) neighbors)
+      ~send:(fun dst msg ->
+        if not (Graph.mem_edge t.graph i dst) then
+          invalid_arg "Sync_engine: sending to non-neighbour";
+        Metrics.record_send t.metrics ~label:(A.msg_label msg)
+          ~bits:(A.msg_bits ~n:(Graph.n t.graph) msg);
+        Queue.add (i, msg) t.outbox.(dst))
+      ~note_suppressed:(fun k -> Metrics.record_suppressed t.metrics k)
+      ~now:(fun () -> float_of_int t.round_count) ()
 
   let create ?(seed = 42) ?(init = `Clean) graph =
     let n = Graph.n graph in

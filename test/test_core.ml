@@ -18,19 +18,16 @@ let check = Alcotest.(check bool)
 
 let fixpoint t = not (Mdst_baseline.Fr.improvable t)
 
-(* A fabricated ctx for unit-testing State in isolation. *)
-let make_ctx ?(n = 8) ~id ~neighbor_ids () =
-  {
-    Node.node = id;
-    id;
-    n;
-    neighbors = Array.of_list (List.map (fun x -> x) neighbor_ids);
-    neighbor_ids = Array.of_list neighbor_ids;
-    send = (fun _ _ -> ());
-    note_suppressed = (fun _ -> ());
-    rng = Prng.create 1;
-    now = (fun () -> 0.0);
-  }
+(* A fabricated ctx for unit-testing State in isolation.  Neighbour node
+   indices default to the slot numbers: [Node.make_ctx] requires them
+   strictly increasing, which identifier lists need not be. *)
+let make_ctx ?(n = 8) ?neighbors ~id ~neighbor_ids () =
+  let neighbor_ids = Array.of_list neighbor_ids in
+  let neighbors =
+    match neighbors with Some a -> a | None -> Array.init (Array.length neighbor_ids) Fun.id
+  in
+  Node.make_ctx ~node:id ~id ~n ~neighbors ~neighbor_ids ~send:(fun _ _ -> ())
+    ~rng:(Prng.create 1) ()
 
 (* ---------------- Msg ---------------- *)
 
@@ -103,10 +100,12 @@ let test_better_parent () =
   let ctx = make_ctx ~id:3 ~neighbor_ids:[ 1; 5 ] () in
   let st = State.clean ctx in
   check "no better parent when views unknown" false (State.better_parent ctx st);
-  let st = { st with State.views = [| fresh_view ~root:1 ~dist:0 (); State.unknown_view |] } in
+  let views = State.views_of_array ctx [| fresh_view ~root:1 ~dist:0 (); State.unknown_view |] in
+  let st = { st with State.views } in
   check "smaller root attracts" true (State.better_parent ctx st);
   (* A claim with an out-of-bound distance must be ignored (count-to-infinity guard). *)
-  let st = { st with State.views = [| fresh_view ~root:1 ~dist:99 (); State.unknown_view |] } in
+  let views = State.views_of_array ctx [| fresh_view ~root:1 ~dist:99 (); State.unknown_view |] in
+  let st = { st with State.views } in
   check "overlong distance ignored" false (State.better_parent ctx st)
 
 let test_new_root_candidate_cases () =
@@ -118,7 +117,7 @@ let test_new_root_candidate_cases () =
   check "root above own id" true
     (State.new_root_candidate ctx { st with State.root = 7; parent = 5 });
   (* Distance incoherent with the parent's view. *)
-  let views = [| fresh_view ~root:0 ~dist:4 (); State.unknown_view |] in
+  let views = State.views_of_array ctx [| fresh_view ~root:0 ~dist:4 (); State.unknown_view |] in
   let st' = { st with State.root = 0; parent = 1; dist = 2; views } in
   check "distance mismatch" true (State.new_root_candidate ctx st');
   let st'' = { st' with State.dist = 5 } in
@@ -131,7 +130,7 @@ let test_is_tree_edge_both_directions () =
   let st1 = { st with State.parent = 5 } in
   check "own parent edge" true (State.is_tree_edge ctx st1 1);
   (* ...and so does the neighbour's parent pointing at us. *)
-  let views = [| fresh_view ~parent:3 (); State.unknown_view |] in
+  let views = State.views_of_array ctx [| fresh_view ~parent:3 (); State.unknown_view |] in
   let st2 = { st with State.views = views } in
   check "child edge" true (State.is_tree_edge ctx st2 0);
   check "plain neighbour is not" false (State.is_tree_edge ctx st 1)
@@ -139,7 +138,10 @@ let test_is_tree_edge_both_directions () =
 let test_tree_degree_and_children () =
   let ctx = make_ctx ~id:3 ~neighbor_ids:[ 1; 5; 7 ] () in
   let st = State.clean ctx in
-  let views = [| fresh_view ~parent:3 (); fresh_view ~parent:3 (); fresh_view ~parent:9 () |] in
+  let views =
+    State.views_of_array ctx
+      [| fresh_view ~parent:3 (); fresh_view ~parent:3 (); fresh_view ~parent:9 () |]
+  in
   let st = { st with State.views; parent = 7 } in
   Alcotest.(check int) "two children + parent" 3 (State.tree_degree ctx st);
   Alcotest.(check (list int)) "children slots" [ 0; 1 ] (State.tree_children_slots ctx st)
@@ -148,14 +150,14 @@ let test_locally_stabilized_requires_agreement () =
   let ctx = make_ctx ~id:0 ~neighbor_ids:[ 1 ] () in
   let st = State.clean ctx in
   let agree = [| fresh_view ~root:0 ~parent:0 ~dmax:0 ~stm:0 () |] in
-  let st_ok = { st with State.views = agree } in
+  let st_ok = { st with State.views = State.views_of_array ctx agree } in
   check "stabilized when all agree" true (State.locally_stabilized ctx st_ok);
   let disagree = [| fresh_view ~root:0 ~parent:0 ~dmax:5 () |] in
   check "dmax disagreement blocks" false
-    (State.locally_stabilized ctx { st with State.views = disagree });
+    (State.locally_stabilized ctx { st with State.views = State.views_of_array ctx disagree });
   let color_off = [| fresh_view ~root:0 ~parent:0 ~dmax:0 ~stm:0 ~color:true () |] in
   check "color disagreement blocks" false
-    (State.locally_stabilized ctx { st with State.views = color_off })
+    (State.locally_stabilized ctx { st with State.views = State.views_of_array ctx color_off })
 
 let test_random_state_varies () =
   let ctx = make_ctx ~id:2 ~neighbor_ids:[ 0; 1; 3 ] () in
@@ -176,7 +178,7 @@ let states_of_tree graph tree =
   let k = Tree.max_degree tree in
   Array.init (Graph.n graph) (fun v ->
       let ctx =
-        make_ctx ~n:(Graph.n graph) ~id:(Graph.id graph v)
+        make_ctx ~n:(Graph.n graph) ~neighbors:(Graph.neighbors graph v) ~id:(Graph.id graph v)
           ~neighbor_ids:(Array.to_list (Array.map (Graph.id graph) (Graph.neighbors graph v)))
           ()
       in
@@ -435,13 +437,13 @@ let test_transplant_preserves_views_by_id () =
         go 0
       in
       check "new neighbour mirror is unknown" false
-        moved.(u).State.views.(slot_of new_graph u v).State.w_fresh;
+        (State.Views.get moved.(u).State.views (slot_of new_graph u v)).State.w_fresh;
       (* An old neighbour's mirror must be carried over untouched. *)
       let w = (u + 1) mod 6 in
       let w' = if w = v then (u + 5) mod 6 else w in
       check "old mirror preserved" true
-        (moved.(u).State.views.(slot_of new_graph u w')
-        = states.(u).State.views.(slot_of old_graph u w'))
+        (State.Views.get moved.(u).State.views (slot_of new_graph u w')
+        = State.Views.get states.(u).State.views (slot_of old_graph u w'))
 
 let test_transplant_rejects_mismatched () =
   let a = Gen.ring 6 and b = Gen.ring 8 in
