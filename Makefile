@@ -3,7 +3,7 @@
 DUNE ?= dune
 SIM   = $(DUNE) exec bin/mdst_sim.exe --
 
-.PHONY: all build test pbt pbt-long explore fuzz fuzz-long mutate bench bench-json bench-proto bench-parallel bench-guard pardet clean
+.PHONY: all build test pbt pbt-long explore fuzz fuzz-long mutate bench bench-json bench-proto bench-parallel bench-guard pardet fpbench-digests clean
 
 all: build
 
@@ -68,6 +68,16 @@ bench-proto: build
 bench-parallel: build
 	$(SIM) bench --out BENCH_engine.json
 	$(SIM) pardet -f grid -n 64 -s 11 --domains 1,2,4
+
+# Regenerate the pinned simulated schedules: the fpbench digest lines
+# (seed 1, 2 s batches) that CI's convergence benchmark smoke diffs
+# against.  Only for an intended schedule change (say, merging the two
+# engines); the commit should say why the schedules moved.
+fpbench-digests: build
+	for w in er-clean er-corrupt star-hub grid-pengine; do \
+	  $(DUNE) exec --root . --display quiet -- ./fpbench/main.exe \
+	    --workload $$w --seed 1 --seconds 2 --trace 0 | grep '^digest ' || exit 1; \
+	done > test/golden/fpbench-digests.txt
 
 # Parallel determinism gate alone: sharded-schedule conformance (model +
 # sequential-engine replay) and fingerprint equivalence across 1/2/4

@@ -1,5 +1,4 @@
 module Prng = Mdst_util.Prng
-module Heap = Mdst_util.Heap
 module Graph = Mdst_graph.Graph
 
 let fifo_epsilon = 1e-6
@@ -11,15 +10,26 @@ type observation =
   | Obs_deliver of { src : int; dst : int; label : string; round : int; time : float }
   | Obs_fault of { kind : string; detail : string; round : int; time : float }
 
-module Make (A : Node.AUTOMATON) = struct
-  (* One heap entry.  Single-level on purpose: a delivery used to be an
-     inline [Deliver] record inside an {event; tag} wrapper (7 words); one
-     entry is pushed and popped per simulated send, so the extra block was
-     a visible slice of the protocol macro-benchmark's allocations (E20). *)
-  type tagged =
-    | Tick of { node : int; tag : int }
-    | Deliver of { src : int; dst : int; msg : A.msg; tag : int }
+(* Slot of [dst] in a sorted neighbour array, or -1: the one adjacency
+   search of a send (the channel's FIFO floor lives at that slot). *)
+let slot_in nbs dst = Node.search_sorted nbs dst 0 (Array.length nbs)
 
+(* The engine's float clocks, in an all-float record: OCaml stores its
+   fields unboxed, so advancing the clock allocates nothing (a float field
+   of a mixed record is a pointer to a fresh box on every write). *)
+type clock = {
+  mutable now : float;
+  mutable tampered_until : float;
+      (* Latest arrival time of any message a fault-plan channel event
+         created or modified (corrupted payloads, duplicate copies,
+         reordered deliveries).  Deliveries execute in time order, so once
+         [now] passes this, no adversarial payload is in flight any more
+         — [faults_pending] holds until then, closing the window where a
+         convergence check could declare victory with a tampered message
+         still queued (delivered later, it breaks closure). *)
+}
+
+module Make (A : Node.AUTOMATON) = struct
   (* An installed Fault.plan.  Channel events are indexed by ordered channel
      ([src * n + dst]) so a send on an untampered channel costs one hash
      lookup and no list scan; scheduled events form a round-ordered queue.
@@ -47,27 +57,20 @@ module Make (A : Node.AUTOMATON) = struct
     rng : Prng.t;
     states : A.state array;
     ctxs : A.msg Node.ctx array;
-    heap : tagged Heap.t;
+    queue : A.msg Pool.t;
+    mutable seq : int;  (* enqueue counter: FIFO among equal times *)
     mutable fifo_floor : float array array;
         (* fifo_floor.(src).(k): FIFO floor of the channel from [src] to its
            k-th neighbour (same order as [Graph.neighbors]).  O(n + m) in
            total — the engine holds no per-ordered-pair structure — and
            rebuilt by [reshape], carrying the floors of surviving edges. *)
     metrics : Metrics.t;
-    mutable now : float;
+    clock : clock;
     mutable round : int;
     mutable current_tag : int;  (* tag of the event being processed *)
     mutable deliveries : int;
     mutable observer : (observation -> unit) option;
     mutable faults : faults option;
-    mutable tampered_until : float;
-        (* Latest arrival time of any message a fault-plan channel event
-           created or modified (corrupted payloads, duplicate copies,
-           reordered deliveries).  Deliveries execute in time order, so once
-           [now] passes this, no adversarial payload is in flight any more
-           — [faults_pending] holds until then, closing the window where a
-           convergence check could declare victory with a tampered message
-           still queued (delivered later, it breaks closure). *)
   }
 
   type init =
@@ -79,31 +82,18 @@ module Make (A : Node.AUTOMATON) = struct
      actually fires AND someone is listening. *)
   let note t ~kind ~detail =
     match t.observer with
-    | Some f -> f (Obs_fault { kind; detail = detail (); round = t.round; time = t.now })
+    | Some f -> f (Obs_fault { kind; detail = detail (); round = t.round; time = t.clock.now })
     | None -> ()
-
-  (* Slot of [dst] in the sorted neighbour array of [src]; the channel's
-     FIFO floor lives at that slot. *)
-  let slot_in graph src dst =
-    let nbs = Graph.neighbors graph src in
-    let lo = ref 0 and hi = ref (Array.length nbs - 1) in
-    let found = ref (-1) in
-    while !found < 0 && !lo <= !hi do
-      let mid = (!lo + !hi) / 2 in
-      let v = Array.unsafe_get nbs mid in
-      if v = dst then found := mid else if v < dst then lo := mid + 1 else hi := mid - 1
-    done;
-    if !found < 0 then
-      invalid_arg (Printf.sprintf "Engine: %d -> %d is not a channel" src dst);
-    !found
 
   let fresh_floors graph =
     Array.init (Graph.n graph) (fun u -> Array.make (Graph.degree graph u) neg_infinity)
 
   (* [rng] (default: the engine's stream) feeds the latency draw; fault
      primitives pass their own stream so they do not shift the fault-free
-     schedule. *)
-  let enqueue_raw t ?extra_delay ?rng ~src ~dst msg =
+     schedule.  [slot] is [dst]'s slot among [src]'s neighbours.  [mark]:
+     the message is adversarial (created or modified by a channel fault),
+     so its arrival extends [tampered_until]. *)
+  let enqueue_raw t ?extra_delay ?rng ?(mark = false) ~src ~dst ~slot msg =
     let rng = match rng with Some r -> r | None -> t.rng in
     let lat =
       if t.lat_uniform then
@@ -112,71 +102,73 @@ module Make (A : Node.AUTOMATON) = struct
         t.lat_lo +. (t.lat_span *. (float_of_int (Prng.raw53 rng) /. 9007199254740992.0))
       else Latency.sample t.latency rng ~src ~dst
     in
+    let clock = t.clock in
     let arrival =
       match extra_delay with
       | None ->
           let floors = t.fifo_floor.(src) in
-          let k = slot_in t.graph src dst in
-          let a = max (t.now +. lat) (floors.(k) +. fifo_epsilon) in
-          floors.(k) <- a;
+          let sent = clock.now +. lat and floor = floors.(slot) +. fifo_epsilon in
+          (* [Stdlib.max], written out: the library call boxes both floats. *)
+          let a = if sent >= floor then sent else floor in
+          floors.(slot) <- a;
           a
       (* [extra_delay = Some d] bypasses the FIFO floor: the delayed message
          may be overtaken by later sends on the same channel (reorder
          faults). *)
-      | Some d -> t.now +. lat +. d
+      | Some d -> clock.now +. lat +. d
     in
+    if mark && arrival > clock.tampered_until then clock.tampered_until <- arrival;
     Metrics.record_send t.metrics ~label:(A.msg_label msg)
       ~bits:(A.msg_bits ~n:(Graph.n t.graph) msg);
-    Heap.push t.heap ~prio:arrival (Deliver { src; dst; msg; tag = t.current_tag + 1 });
-    arrival
+    let seq = t.seq in
+    t.seq <- seq + 1;
+    Pool.deliver t.queue ~time:arrival ~seq ~src ~dst ~tag:(t.current_tag + 1) msg
 
   let in_window (w : Fault.window) round = w.from_round <= round && round <= w.upto_round
 
   (* The first channel event whose round window is open — and whose coin
      comes up — decides the fate of the message.  Only events installed for
-     this exact ordered channel are consulted (see [install_faults]). *)
-  let enqueue ?rng t ~src ~dst msg =
-    (* Tampered enqueues extend the adversarial-traffic horizon consulted by
-       [faults_pending]: a tampered message is adversarial state until
-       delivered, even after its event's round window closes. *)
-    let mark arrival = if arrival > t.tampered_until then t.tampered_until <- arrival in
-    let tamper fs events =
-      let chan () = Printf.sprintf "%d>%d" src dst in
-      let rec decide = function
-        | [] -> ignore (enqueue_raw t ?rng ~src ~dst msg)
-        | (ev, erng) :: rest -> (
-            match (ev : Fault.event) with
-            | Drop f when in_window f.window t.round && Prng.bernoulli erng f.prob ->
-                fs.stats <- { fs.stats with Fault.drops = fs.stats.Fault.drops + 1 };
-                note t ~kind:"drop" ~detail:chan
-            | Duplicate f when in_window f.window t.round && Prng.bernoulli erng f.prob ->
-                fs.stats <- { fs.stats with Fault.duplicates = fs.stats.Fault.duplicates + 1 };
-                note t ~kind:"dup" ~detail:(fun () -> Printf.sprintf "%s x%d" (chan ()) f.copies);
-                for _ = 0 to f.copies do
-                  mark (enqueue_raw t ?rng ~src ~dst msg)
-                done
-            | Reorder f when in_window f.window t.round && Prng.bernoulli erng f.prob ->
-                fs.stats <- { fs.stats with Fault.reorders = fs.stats.Fault.reorders + 1 };
-                note t ~kind:"reorder" ~detail:chan;
-                mark (enqueue_raw t ~extra_delay:(Prng.float erng f.delay) ?rng ~src ~dst msg)
-            | Corrupt f when in_window f.window t.round && Prng.bernoulli erng f.prob -> (
-                match A.random_msg t.ctxs.(src) erng with
-                | Some msg' ->
-                    fs.stats <-
-                      { fs.stats with Fault.corruptions = fs.stats.Fault.corruptions + 1 };
-                    note t ~kind:"corrupt" ~detail:chan;
-                    mark (enqueue_raw t ?rng ~src ~dst msg')
-                | None -> decide rest)
-            | _ -> decide rest)
-      in
-      decide events
-    in
+     this exact ordered channel are consulted (see [install_faults]).
+     Tampered enqueues extend the adversarial-traffic horizon consulted by
+     [faults_pending]: a tampered message is adversarial state until
+     delivered, even after its event's round window closes. *)
+  let rec tamper t fs ?rng ~src ~dst ~slot msg = function
+    | [] -> enqueue_raw t ?rng ~src ~dst ~slot msg
+    | (ev, erng) :: rest -> (
+        let chan () = Printf.sprintf "%d>%d" src dst in
+        match (ev : Fault.event) with
+        | Drop f when in_window f.window t.round && Prng.bernoulli erng f.prob ->
+            fs.stats <- { fs.stats with Fault.drops = fs.stats.Fault.drops + 1 };
+            note t ~kind:"drop" ~detail:chan
+        | Duplicate f when in_window f.window t.round && Prng.bernoulli erng f.prob ->
+            fs.stats <- { fs.stats with Fault.duplicates = fs.stats.Fault.duplicates + 1 };
+            note t ~kind:"dup" ~detail:(fun () -> Printf.sprintf "%s x%d" (chan ()) f.copies);
+            for _ = 0 to f.copies do
+              enqueue_raw t ?rng ~mark:true ~src ~dst ~slot msg
+            done
+        | Reorder f when in_window f.window t.round && Prng.bernoulli erng f.prob ->
+            fs.stats <- { fs.stats with Fault.reorders = fs.stats.Fault.reorders + 1 };
+            note t ~kind:"reorder" ~detail:chan;
+            enqueue_raw t ~extra_delay:(Prng.float erng f.delay) ?rng ~mark:true ~src ~dst
+              ~slot msg
+        | Corrupt f when in_window f.window t.round && Prng.bernoulli erng f.prob -> (
+            match A.random_msg t.ctxs.(src) erng with
+            | Some msg' ->
+                fs.stats <-
+                  { fs.stats with Fault.corruptions = fs.stats.Fault.corruptions + 1 };
+                note t ~kind:"corrupt" ~detail:chan;
+                enqueue_raw t ?rng ~mark:true ~src ~dst ~slot msg'
+            | None -> tamper t fs ?rng ~src ~dst ~slot msg rest)
+        | _ -> tamper t fs ?rng ~src ~dst ~slot msg rest)
+
+  (* An untampered send builds no closure and allocates nothing here. *)
+  let enqueue ?rng t ~src ~dst ~slot msg =
     match t.faults with
-    | None -> ignore (enqueue_raw t ?rng ~src ~dst msg)
+    | None -> enqueue_raw t ?rng ~src ~dst ~slot msg
     | Some fs -> (
         match Hashtbl.find_opt fs.by_channel ((src * Graph.n t.graph) + dst) with
-        | None -> ignore (enqueue_raw t ?rng ~src ~dst msg)
-        | Some events -> tamper fs events)
+        | None -> enqueue_raw t ?rng ~src ~dst ~slot msg
+        | Some events -> tamper t fs ?rng ~src ~dst ~slot msg events)
 
   (* [note_suppressed] and [now] read only engine-wide fields, so every
      node shares one closure of each. *)
@@ -185,9 +177,10 @@ module Make (A : Node.AUTOMATON) = struct
     Node.make_ctx ~node:i ~id:(Graph.id t.graph i) ~n:(Graph.n t.graph) ~neighbors
       ~neighbor_ids:(Array.map (Graph.id t.graph) neighbors)
       ~send:(fun dst msg ->
-        if not (Graph.mem_edge t.graph i dst) then
+        let slot = slot_in neighbors dst in
+        if slot < 0 then
           invalid_arg (Printf.sprintf "Engine: node %d sending to non-neighbour %d" i dst);
-        enqueue t ~src:i ~dst msg)
+        enqueue t ~src:i ~dst ~slot msg)
       ~note_suppressed ~now ~rng ()
 
   let create ?(latency = Latency.uniform ()) ?(tick_period = 1.0) ?(seed = 42)
@@ -213,19 +206,22 @@ module Make (A : Node.AUTOMATON) = struct
         rng;
         states = Array.make n (Obj.magic 0);
         ctxs = Array.make n (Obj.magic 0);
-        heap = Heap.create ~capacity:(4 * n) ();
+        (* Room for the n armed timers: a clean start never grows the
+           queue during set-up, and traffic grows it by doubling. *)
+        queue = Pool.create ~capacity:n;
+        seq = 0;
         fifo_floor = fresh_floors graph;
         metrics = Metrics.create ();
-        now = 0.0;
+        clock = { now = 0.0; tampered_until = neg_infinity };
         round = 0;
         current_tag = 0;
         deliveries = 0;
         observer = None;
         faults = None;
-        tampered_until = neg_infinity;
       }
     in
-    let note_suppressed k = Metrics.record_suppressed t.metrics k and now () = t.now in
+    let note_suppressed k = Metrics.record_suppressed t.metrics k
+    and now () = t.clock.now in
     for i = 0 to n - 1 do
       t.ctxs.(i) <- make_ctx t ~note_suppressed ~now ~rng:(Prng.split rng) i
     done;
@@ -247,7 +243,8 @@ module Make (A : Node.AUTOMATON) = struct
               let k = Prng.int rng 3 in
               for _ = 1 to k do
                 match A.random_msg t.ctxs.(src) rng with
-                | Some msg -> enqueue t ~src ~dst msg
+                | Some msg ->
+                    enqueue t ~src ~dst ~slot:(slot_in (Graph.neighbors graph src) dst) msg
                 | None -> ()
               done
             in
@@ -256,7 +253,9 @@ module Make (A : Node.AUTOMATON) = struct
     | `Clean | `Custom _ -> ());
     (* Arm the periodic timers with a random phase each. *)
     for i = 0 to n - 1 do
-      Heap.push t.heap ~prio:(Prng.float rng tick_period) (Tick { node = i; tag = 1 })
+      let seq = t.seq in
+      t.seq <- seq + 1;
+      Pool.tick t.queue ~time:(Prng.float rng tick_period) ~seq ~node:i ~tag:1
     done;
     t
 
@@ -266,18 +265,17 @@ module Make (A : Node.AUTOMATON) = struct
 
   let states t = t.states
 
-  let now t = t.now
+  let now t = t.clock.now
 
   let rounds t = t.round
 
   let metrics t = t.metrics
 
-  let pending_events t = Heap.length t.heap
+  let pending_events t = Pool.length t.queue
 
   let in_flight_exists t pred =
-    List.exists
-      (fun (_, ev) -> match ev with Deliver { msg; _ } -> pred msg | Tick _ -> false)
-      (Heap.to_list t.heap)
+    let q = t.queue in
+    List.exists (fun h -> (not (Pool.is_tick q h)) && pred q.msg.(h)) (Pool.handles q)
 
   let set_state t i s = t.states.(i) <- s
 
@@ -289,7 +287,7 @@ module Make (A : Node.AUTOMATON) = struct
     if not (Graph.mem_edge t.graph src dst) then invalid_arg "Engine.inject: not adjacent";
     let saved = t.current_tag in
     t.current_tag <- t.round;
-    enqueue ?rng t ~src ~dst msg;
+    enqueue ?rng t ~src ~dst ~slot:(slot_in (Graph.neighbors t.graph src) dst) msg;
     t.current_tag <- saved
 
   let inject t ~src ~dst msg = inject_with t ~src ~dst msg
@@ -303,10 +301,7 @@ module Make (A : Node.AUTOMATON) = struct
      KEPT (see engine.mli): later traffic stays ordered after the lost
      messages' arrival times, as on a real FIFO link that lost content. *)
   let purge_channel t ~src ~dst =
-    Heap.filter t.heap (fun _ ev ->
-        match ev with
-        | Deliver d -> not (d.src = src && d.dst = dst)
-        | Tick _ -> true)
+    Pool.purge t.queue (fun ~src:s ~dst:d -> s = src && d = dst)
 
   let reshape t ?(remap = fun ~old_graph:_ ~new_graph:_ states -> states) new_graph =
     if Graph.n new_graph <> Graph.n t.graph then
@@ -315,11 +310,7 @@ module Make (A : Node.AUTOMATON) = struct
       invalid_arg "Engine.reshape: graph must stay connected";
     let old_graph = t.graph in
     (* Messages in flight on vanished edges are lost with the edge. *)
-    ignore
-      (Heap.filter t.heap (fun _ ev ->
-           match ev with
-           | Deliver { src; dst; _ } -> Graph.mem_edge new_graph src dst
-           | Tick _ -> true));
+    ignore (Pool.purge t.queue (fun ~src ~dst -> not (Graph.mem_edge new_graph src dst)));
     (* Surviving channels keep their FIFO floor; new channels (and re-added
        ones — their in-flight messages died with the edge) start fresh. *)
     let old_floors = t.fifo_floor in
@@ -327,8 +318,8 @@ module Make (A : Node.AUTOMATON) = struct
       Array.init (Graph.n new_graph) (fun u ->
           Array.map
             (fun v ->
-              if Graph.mem_edge old_graph u v then old_floors.(u).(slot_in old_graph u v)
-              else neg_infinity)
+              let k = slot_in (Graph.neighbors old_graph u) v in
+              if k >= 0 then old_floors.(u).(k) else neg_infinity)
             (Graph.neighbors new_graph u));
     t.graph <- new_graph;
     for i = 0 to Graph.n new_graph - 1 do
@@ -386,7 +377,7 @@ module Make (A : Node.AUTOMATON) = struct
   let faults_pending t =
     match t.faults with
     | None -> false
-    | Some fs -> fs.pending <> [] || t.now <= t.tampered_until
+    | Some fs -> fs.pending <> [] || t.clock.now <= t.clock.tampered_until
 
   let skip fs t ~detail =
     fs.stats <- { fs.stats with Fault.skipped = fs.stats.Fault.skipped + 1 };
@@ -489,51 +480,60 @@ module Make (A : Node.AUTOMATON) = struct
       victims;
     List.length victims
 
-  (* Execute one already-dequeued event; shared by [step] (priority order)
-     and [step_with] (caller-chosen order). *)
-  let execute t time ev =
-    t.now <- max t.now time;
-    let tag = match ev with Tick { tag; _ } | Deliver { tag; _ } -> tag in
+  (* Execute one already-dequeued event, by pool handle; shared by [step]
+     (priority order) and [step_with] (caller-chosen order).  Every field
+     is read before the slot is released: the handler's own sends may
+     reuse it. *)
+  let execute t h =
+    let q = t.queue and clock = t.clock in
+    let time = q.time.(h) and now = clock.now in
+    clock.now <- (if now >= time then now else time);
+    let tag = q.tag.(h) and src = q.src.(h) and dst = q.dst.(h) and msg = q.msg.(h) in
+    Pool.release q h;
     t.current_tag <- tag;
     if tag > t.round then t.round <- tag;
-    match ev with
-    | Tick { node = i; _ } ->
-        (match t.observer with
-        | Some f -> f (Obs_tick { node = i; round = t.round; time = t.now })
-        | None -> ());
-        t.states.(i) <- A.on_tick t.ctxs.(i) t.states.(i);
-        Metrics.record_state_bits t.metrics
-          (A.state_bits ~n:(Graph.n t.graph) t.states.(i));
-        Heap.push t.heap ~prio:(t.now +. t.tick_period) (Tick { node = i; tag = tag + 1 })
-    | Deliver { src; dst; msg; _ } ->
-        (match t.observer with
-        | Some f ->
-            f (Obs_deliver
-                 { src; dst; label = A.msg_label msg; round = t.round; time = t.now })
-        | None -> ());
-        t.deliveries <- t.deliveries + 1;
-        Metrics.record_delivery t.metrics;
-        t.states.(dst) <- A.on_message t.ctxs.(dst) t.states.(dst) ~src msg
+    if dst < 0 then begin
+      let i = src in
+      (match t.observer with
+      | Some f -> f (Obs_tick { node = i; round = t.round; time = clock.now })
+      | None -> ());
+      t.states.(i) <- A.on_tick t.ctxs.(i) t.states.(i);
+      Metrics.record_state_bits t.metrics (A.state_bits ~n:(Graph.n t.graph) t.states.(i));
+      let seq = t.seq in
+      t.seq <- seq + 1;
+      Pool.tick q ~time:(clock.now +. t.tick_period) ~seq ~node:i ~tag:(tag + 1)
+    end
+    else begin
+      (match t.observer with
+      | Some f ->
+          f (Obs_deliver
+               { src; dst; label = A.msg_label msg; round = t.round; time = clock.now })
+      | None -> ());
+      t.deliveries <- t.deliveries + 1;
+      Metrics.record_delivery t.metrics;
+      t.states.(dst) <- A.on_message t.ctxs.(dst) t.states.(dst) ~src msg
+    end
 
   let step t =
     apply_due_faults t;
-    if Heap.is_empty t.heap then false
+    if Pool.is_empty t.queue then false
     else begin
-      (* top_prio + drop_min instead of pop: no option/tuple per event. *)
-      let time = Heap.top_prio t.heap in
-      let ev = Heap.drop_min t.heap in
-      execute t time ev;
+      execute t (Pool.pop t.queue);
       true
     end
 
+  (* Pending deliveries as [(time, handle)], in heap-array order. *)
+  let deliveries_pending t =
+    let q = t.queue in
+    List.filter_map
+      (fun h -> if Pool.is_tick q h then None else Some (q.time.(h), h))
+      (Pool.handles q)
+
   let in_flight t =
-    Heap.to_list t.heap
-    |> List.filter_map (fun (prio, ev) ->
-           match ev with
-           | Deliver { src; dst; msg; _ } -> Some (prio, (src, dst, msg))
-           | Tick _ -> None)
+    let q = t.queue in
+    deliveries_pending t
     |> List.sort (fun (a, _) (b, _) -> compare a b)
-    |> List.map snd
+    |> List.map (fun (_, h) -> (q.src.(h), q.dst.(h), q.msg.(h)))
 
   type choice =
     | Choose_tick of { node : int }
@@ -541,41 +541,36 @@ module Make (A : Node.AUTOMATON) = struct
 
   let step_with t ~choose =
     apply_due_faults t;
-    if Heap.is_empty t.heap then false
+    if Pool.is_empty t.queue then false
     else begin
+      let q = t.queue in
       let n = Graph.n t.graph in
-      let entries = Heap.to_list t.heap in
       (* Eligible: every armed tick, plus the oldest (min arrival time,
          i.e. FIFO head) queued message of each ordered channel. *)
       let ticks =
         List.filter_map
-          (fun (prio, ev) ->
-            match ev with Tick { node; _ } -> Some (node, (prio, ev)) | Deliver _ -> None)
-          entries
+          (fun h -> if Pool.is_tick q h then Some (q.src.(h), h) else None)
+          (Pool.handles q)
         |> List.sort (fun (a, _) (b, _) -> compare a b)
       in
       let heads = Hashtbl.create 16 in
       List.iter
-        (fun (prio, ev) ->
-          match ev with
-          | Deliver { src; dst; _ } -> (
-              let key = (src * n) + dst in
-              match Hashtbl.find_opt heads key with
-              | Some (p0, _) when p0 <= prio -> ()
-              | _ -> Hashtbl.replace heads key (prio, ev))
-          | Tick _ -> ())
-        entries;
+        (fun (prio, h) ->
+          let key = (q.src.(h) * n) + q.dst.(h) in
+          match Hashtbl.find_opt heads key with
+          | Some (p0, _) when p0 <= prio -> ()
+          | _ -> Hashtbl.replace heads key (prio, h))
+        (deliveries_pending t);
       let channels =
-        Hashtbl.fold (fun key entry acc -> (key, entry) :: acc) heads []
+        Hashtbl.fold (fun key (_, h) acc -> (key, h) :: acc) heads []
         |> List.sort (fun (a, _) (b, _) -> compare a b)
       in
       let picks = Array.of_list (List.map snd ticks @ List.map snd channels) in
       let options =
         Array.map
-          (fun (_, ev) ->
-            match ev with
-            | Tick { node; _ } -> Choose_tick { node }
-            | Deliver { src; dst; msg; _ } -> Choose_deliver { src; dst; label = A.msg_label msg })
+          (fun h ->
+            if Pool.is_tick q h then Choose_tick { node = q.src.(h) }
+            else Choose_deliver { src = q.src.(h); dst = q.dst.(h); label = A.msg_label q.msg.(h) })
           picks
       in
       let idx = choose options in
@@ -583,11 +578,9 @@ module Make (A : Node.AUTOMATON) = struct
         invalid_arg
           (Printf.sprintf "Engine.step_with: choice %d out of range [0, %d)" idx
              (Array.length picks));
-      let time, ev = picks.(idx) in
-      (* Remove exactly the chosen entry; events are freshly allocated per
-         push, so physical identity picks it out of the heap uniquely. *)
-      ignore (Heap.filter t.heap (fun _ e -> not (e == ev)));
-      execute t time ev;
+      let h = picks.(idx) in
+      Pool.remove q h;
+      execute t h;
       true
     end
 
@@ -611,7 +604,7 @@ module Make (A : Node.AUTOMATON) = struct
     {
       converged = stop t;
       rounds = t.round;
-      time = t.now;
+      time = t.clock.now;
       deliveries = t.deliveries;
     }
 end

@@ -20,10 +20,11 @@
     {2 Memory model}
 
     The engine's footprint is O(n + m + in-flight messages): per-node
-    state/context arrays, one event heap, and per-channel FIFO floors stored
-    as one float per {e adjacent} ordered pair (a slot per neighbour, in
-    [Graph.neighbors] order) — there is no per-ordered-pair matrix, so
-    simulations scale to thousands of nodes (see EXPERIMENTS.md E19).
+    state/context arrays, one event pool ({!Pool}), and per-channel FIFO
+    floors stored as one float per {e adjacent} ordered pair (a slot per
+    neighbour, in [Graph.neighbors] order) — there is no per-ordered-pair
+    matrix, so simulations scale to thousands of nodes (see EXPERIMENTS.md
+    E19).
     Installed fault plans index their channel events by ordered channel, so
     a send on an untampered channel does no fault-list scanning and builds
     no label string. *)
@@ -42,6 +43,17 @@ val fifo_epsilon : float
     one channel.  Exposed so {!Pengine} applies the {e same} constant — the
     two engines must agree on timestamps for the conformance replay to
     hold. *)
+
+val slot_in : int array -> int -> int
+(** [slot_in neighbours v]: the slot of [v] in a strictly increasing
+    neighbour array, or [-1].  The one adjacency search of a send: both
+    engines validate the destination and find the channel's FIFO floor
+    with it. *)
+
+(** A simulated clock and the adversarial-traffic horizon of
+    {!Make.faults_pending}, shared by both engines.  All fields are floats,
+    so OCaml stores them unboxed and writing them allocates nothing. *)
+type clock = { mutable now : float; mutable tampered_until : float }
 
 module Make (A : Node.AUTOMATON) : sig
   type t

@@ -1,11 +1,16 @@
-(* Per-label accounting shares one record per label so the per-send hot
-   path does a single hash lookup and two in-place increments — no boxed
-   counters, no second table. *)
+(* Per-label accounting.  Labels are few (one per message family) and an
+   automaton returns the same string literal for every message of a
+   family, so the per-send lookup is a scan of a short array comparing
+   pointers; only a label that is a fresh copy of a known one pays a
+   [String.equal] pass, and it is then counted under the entry already
+   there (the table never holds one label twice).  No hash of the label
+   and no option is built per send. *)
 
 type per_label = { mutable count : int; mutable bits_sum : int }
 
 type t = {
-  by_label : (string, per_label) Hashtbl.t;
+  mutable labels : string array;
+  mutable counters : per_label array;  (* same slots as [labels] *)
   mutable sends : int;
   mutable deliveries : int;
   mutable total_bits : int;
@@ -16,7 +21,8 @@ type t = {
 
 let create () =
   {
-    by_label = Hashtbl.create 8;
+    labels = [||];
+    counters = [||];
     sends = 0;
     deliveries = 0;
     total_bits = 0;
@@ -25,12 +31,32 @@ let create () =
     suppressed = 0;
   }
 
+let rec find_phys t label i =
+  if i >= Array.length t.labels then -1
+  else if Array.unsafe_get t.labels i == label then i
+  else find_phys t label (i + 1)
+
+let rec find_equal t label i =
+  if i >= Array.length t.labels then -1
+  else if String.equal (Array.unsafe_get t.labels i) label then i
+  else find_equal t label (i + 1)
+
+(* The counter record of [label], created on first sight. *)
+let counter t label =
+  let i = find_phys t label 0 in
+  let i = if i >= 0 then i else find_equal t label 0 in
+  if i >= 0 then Array.unsafe_get t.counters i
+  else begin
+    let c = { count = 0; bits_sum = 0 } in
+    t.labels <- Array.append t.labels [| label |];
+    t.counters <- Array.append t.counters [| c |];
+    c
+  end
+
 let record_send t ~label ~bits =
-  (match Hashtbl.find_opt t.by_label label with
-  | Some c ->
-      c.count <- c.count + 1;
-      c.bits_sum <- c.bits_sum + bits
-  | None -> Hashtbl.add t.by_label label { count = 1; bits_sum = bits });
+  let c = counter t label in
+  c.count <- c.count + 1;
+  c.bits_sum <- c.bits_sum + bits;
   t.sends <- t.sends + 1;
   t.total_bits <- t.total_bits + bits;
   if bits > t.max_msg_bits then t.max_msg_bits <- bits
@@ -52,14 +78,11 @@ let deliveries t = t.deliveries
 let total_bits t = t.total_bits
 
 let merge_into ~into src =
-  Hashtbl.iter
-    (fun label c ->
-      match Hashtbl.find_opt into.by_label label with
-      | Some d ->
-          d.count <- d.count + c.count;
-          d.bits_sum <- d.bits_sum + c.bits_sum
-      | None -> Hashtbl.add into.by_label label { count = c.count; bits_sum = c.bits_sum })
-    src.by_label;
+  for i = 0 to Array.length src.labels - 1 do
+    let c = src.counters.(i) and d = counter into src.labels.(i) in
+    d.count <- d.count + c.count;
+    d.bits_sum <- d.bits_sum + c.bits_sum
+  done;
   into.sends <- into.sends + src.sends;
   into.deliveries <- into.deliveries + src.deliveries;
   into.total_bits <- into.total_bits + src.total_bits;
@@ -68,7 +91,8 @@ let merge_into ~into src =
   into.suppressed <- into.suppressed + src.suppressed
 
 let sorted t project =
-  Hashtbl.fold (fun k c acc -> (k, project c) :: acc) t.by_label [] |> List.sort compare
+  List.init (Array.length t.labels) (fun i -> (t.labels.(i), project t.counters.(i)))
+  |> List.sort compare
 
 let messages_by_label t = sorted t (fun c -> c.count)
 
@@ -79,7 +103,8 @@ let max_state_bits t = t.max_state_bits
 let max_msg_bits t = t.max_msg_bits
 
 let reset t =
-  Hashtbl.reset t.by_label;
+  t.labels <- [||];
+  t.counters <- [||];
   t.sends <- 0;
   t.deliveries <- 0;
   t.total_bits <- 0;

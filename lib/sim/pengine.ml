@@ -2,7 +2,7 @@
    domains.
 
    The graph is partitioned into [k] node-shards ({!Mdst_graph.Partition});
-   each shard owns the event heap, PRNG draws, metrics and FIFO floors of
+   each shard owns the event pool, PRNG draws, metrics and FIFO floors of
    its nodes and runs on its own domain.  Cross-shard sends travel through
    bounded SPSC mailboxes ({!Mdst_util.Mailbox}); synchronisation is the
    classic conservative protocol with the null messages collapsed into one
@@ -13,7 +13,7 @@
        reads [P] cannot cause a delivery anywhere before [P + d];
      - a shard repeatedly (1) reads the clocks of the shards with an edge
        into it, taking the minimum [hmin], (2) drains its inboxes,
-       (3) executes heap events strictly below
+       (3) executes pooled events strictly below
        [B = min (hmin + d) window_end], (4) publishes
        [min next_local_event (hmin + d)].
 
@@ -29,7 +29,7 @@
 
      - {b (time, shard, seq) total order}: every event carries the packed
        key of its creating shard and that shard's creation counter
-       ({!Shard.key}); heaps tie-break on it ({!Mdst_util.Heap.push_at}),
+       ({!Shard.key}); each shard's event pool ({!Pool}) tie-breaks on it,
        so the order is a property of the event, independent of when a
        drain happened to pull it out of a mailbox.  A fixed (seed, k) is
        bit-reproducible.
@@ -51,23 +51,28 @@
    partition under every shard's feet and are rejected. *)
 
 module Prng = Mdst_util.Prng
-module Heap = Mdst_util.Heap
 module Mailbox = Mdst_util.Mailbox
 module Graph = Mdst_graph.Graph
 module Partition = Mdst_graph.Partition
 
 module Make (A : Node.AUTOMATON) = struct
-  type tagged =
-    | Tick of { node : int; tag : int }
-    | Deliver of { src : int; dst : int; msg : A.msg; tag : int }
-
-  type packet = { p_time : float; p_key : int; p_ev : tagged }
+  (* A delivery crossing to another shard; it takes a slot in the
+     receiving shard's pool when that shard drains its inbox.  (Ticks never
+     cross: a node's timer lives on its own shard.) *)
+  type packet = {
+    p_time : float;
+    p_key : int;
+    p_src : int;
+    p_dst : int;
+    p_tag : int;
+    p_msg : A.msg;
+  }
 
   type shard = {
     sid : int;
-    heap : tagged Heap.t;
+    queue : A.msg Pool.t;
     mutable seq : int;  (* creation counter; feeds Shard.key *)
-    mutable now : float;
+    clock : Engine.clock;  (* the shard's [now] and [tampered_until], unboxed *)
     mutable current_tag : int;
     mutable rounds : int;
     mutable deliveries : int;
@@ -77,7 +82,6 @@ module Make (A : Node.AUTOMATON) = struct
     inboxes : packet Mailbox.t array;  (* slot s' = ring written by shard s' *)
     mutable sched : (float * int * int) list;  (* recording; reversed *)
     mutable fstats : Fault.stats;
-    mutable tampered_until : float;
   }
 
   type faults = {
@@ -129,19 +133,6 @@ module Make (A : Node.AUTOMATON) = struct
      drift as a FIFO/timestamp mismatch. *)
   let fifo_epsilon = Engine.fifo_epsilon
 
-  let slot_in graph src dst =
-    let nbs = Graph.neighbors graph src in
-    let lo = ref 0 and hi = ref (Array.length nbs - 1) in
-    let found = ref (-1) in
-    while !found < 0 && !lo <= !hi do
-      let mid = (!lo + !hi) / 2 in
-      let v = Array.unsafe_get nbs mid in
-      if v = dst then found := mid else if v < dst then lo := mid + 1 else hi := mid - 1
-    done;
-    if !found < 0 then
-      invalid_arg (Printf.sprintf "Pengine: %d -> %d is not a channel" src dst);
-    !found
-
   let drain_inboxes sh =
     let got = ref false in
     Array.iter
@@ -152,7 +143,8 @@ module Make (A : Node.AUTOMATON) = struct
           match Mailbox.try_pop mb with
           | Some pkt ->
               got := true;
-              Heap.push_at sh.heap ~prio:pkt.p_time ~seq:pkt.p_key pkt.p_ev
+              Pool.deliver sh.queue ~time:pkt.p_time ~seq:pkt.p_key ~src:pkt.p_src
+                ~dst:pkt.p_dst ~tag:pkt.p_tag pkt.p_msg
           | None -> more := false
         done)
       sh.in_shards;
@@ -160,7 +152,7 @@ module Make (A : Node.AUTOMATON) = struct
 
   (* Backpressure without deadlock: while the receiver's ring is full we
      drain our OWN inboxes (so a peer blocked pushing to us can advance)
-     and retry.  Drained events only enter the heap — everything arriving
+     and retry.  Drained events only enter the pool — everything arriving
      now is timestamped at or above our current execution bound, so the
      insertion cannot disturb an execution pass in progress. *)
   let push_remote t sh ds pkt =
@@ -178,35 +170,38 @@ module Make (A : Node.AUTOMATON) = struct
   (* Mirrors Engine.enqueue_raw, with the sending shard explicit.  The
      latency stream defaults to the per-node split of [src]; create and
      fault primitives pass their own. *)
-  let enqueue_raw t sh ?extra_delay ?rng ~src ~dst msg =
+  let enqueue_raw t sh ?extra_delay ?rng ?(mark = false) ~src ~dst ~slot msg =
     let rng = match rng with Some r -> r | None -> t.lat_rngs.(src) in
     let lat =
       if t.lat_uniform then
         t.lat_lo +. (t.lat_span *. (float_of_int (Prng.raw53 rng) /. 9007199254740992.0))
       else Latency.sample t.latency rng ~src ~dst
     in
+    let clock = sh.clock in
     let arrival =
       match extra_delay with
       | None ->
           let floors = t.fifo_floor.(src) in
-          let k = slot_in t.graph src dst in
-          let a = max (sh.now +. lat) (floors.(k) +. fifo_epsilon) in
-          floors.(k) <- a;
+          let sent = clock.now +. lat and floor = floors.(slot) +. fifo_epsilon in
+          let a = if sent >= floor then sent else floor in
+          floors.(slot) <- a;
           a
-      | Some d -> sh.now +. lat +. d
+      | Some d -> clock.now +. lat +. d
     in
+    if mark && arrival > clock.tampered_until then clock.tampered_until <- arrival;
     Metrics.record_send sh.metrics ~label:(A.msg_label msg)
       ~bits:(A.msg_bits ~n:(Graph.n t.graph) msg);
     let key = Shard.key ~shard:sh.sid ~seq:sh.seq in
     sh.seq <- sh.seq + 1;
-    let ev = Deliver { src; dst; msg; tag = sh.current_tag + 1 } in
+    let tag = sh.current_tag + 1 in
     let ds = t.part.(dst) in
-    if ds = sh.sid then Heap.push_at sh.heap ~prio:arrival ~seq:key ev
-    else if t.running then push_remote t sh ds { p_time = arrival; p_key = key; p_ev = ev }
+    if ds = sh.sid then Pool.deliver sh.queue ~time:arrival ~seq:key ~src ~dst ~tag msg
+    else if t.running then
+      push_remote t sh ds
+        { p_time = arrival; p_key = key; p_src = src; p_dst = dst; p_tag = tag; p_msg = msg }
     else
       (* create / between windows: single-threaded, push straight in. *)
-      Heap.push_at t.shards.(ds).heap ~prio:arrival ~seq:key ev;
-    arrival
+      Pool.deliver t.shards.(ds).queue ~time:arrival ~seq:key ~src ~dst ~tag msg
 
   let in_window (w : Fault.window) round = w.from_round <= round && round <= w.upto_round
 
@@ -214,41 +209,37 @@ module Make (A : Node.AUTOMATON) = struct
      with that shard's stats and the event's private stream.  [round] is
      the sender shard's causal round — the parallel engine has no global
      round while a window runs. *)
-  let enqueue ?rng t sh ~src ~dst msg =
-    let mark arrival = if arrival > sh.tampered_until then sh.tampered_until <- arrival in
-    let tamper events =
-      let rec decide = function
-        | [] -> ignore (enqueue_raw t sh ?rng ~src ~dst msg)
-        | (ev, erng) :: rest -> (
-            match (ev : Fault.event) with
-            | Drop f when in_window f.window sh.rounds && Prng.bernoulli erng f.prob ->
-                sh.fstats <- { sh.fstats with Fault.drops = sh.fstats.Fault.drops + 1 }
-            | Duplicate f when in_window f.window sh.rounds && Prng.bernoulli erng f.prob ->
+  let rec tamper t sh ?rng ~src ~dst ~slot msg = function
+    | [] -> enqueue_raw t sh ?rng ~src ~dst ~slot msg
+    | (ev, erng) :: rest -> (
+        match (ev : Fault.event) with
+        | Drop f when in_window f.window sh.rounds && Prng.bernoulli erng f.prob ->
+            sh.fstats <- { sh.fstats with Fault.drops = sh.fstats.Fault.drops + 1 }
+        | Duplicate f when in_window f.window sh.rounds && Prng.bernoulli erng f.prob ->
+            sh.fstats <- { sh.fstats with Fault.duplicates = sh.fstats.Fault.duplicates + 1 };
+            for _ = 0 to f.copies do
+              enqueue_raw t sh ?rng ~mark:true ~src ~dst ~slot msg
+            done
+        | Reorder f when in_window f.window sh.rounds && Prng.bernoulli erng f.prob ->
+            sh.fstats <- { sh.fstats with Fault.reorders = sh.fstats.Fault.reorders + 1 };
+            enqueue_raw t sh ~extra_delay:(Prng.float erng f.delay) ?rng ~mark:true ~src ~dst
+              ~slot msg
+        | Corrupt f when in_window f.window sh.rounds && Prng.bernoulli erng f.prob -> (
+            match A.random_msg t.ctxs.(src) erng with
+            | Some msg' ->
                 sh.fstats <-
-                  { sh.fstats with Fault.duplicates = sh.fstats.Fault.duplicates + 1 };
-                for _ = 0 to f.copies do
-                  mark (enqueue_raw t sh ?rng ~src ~dst msg)
-                done
-            | Reorder f when in_window f.window sh.rounds && Prng.bernoulli erng f.prob ->
-                sh.fstats <- { sh.fstats with Fault.reorders = sh.fstats.Fault.reorders + 1 };
-                mark (enqueue_raw t sh ~extra_delay:(Prng.float erng f.delay) ?rng ~src ~dst msg)
-            | Corrupt f when in_window f.window sh.rounds && Prng.bernoulli erng f.prob -> (
-                match A.random_msg t.ctxs.(src) erng with
-                | Some msg' ->
-                    sh.fstats <-
-                      { sh.fstats with Fault.corruptions = sh.fstats.Fault.corruptions + 1 };
-                    mark (enqueue_raw t sh ?rng ~src ~dst msg')
-                | None -> decide rest)
-            | _ -> decide rest)
-      in
-      decide events
-    in
+                  { sh.fstats with Fault.corruptions = sh.fstats.Fault.corruptions + 1 };
+                enqueue_raw t sh ?rng ~mark:true ~src ~dst ~slot msg'
+            | None -> tamper t sh ?rng ~src ~dst ~slot msg rest)
+        | _ -> tamper t sh ?rng ~src ~dst ~slot msg rest)
+
+  let enqueue ?rng t sh ~src ~dst ~slot msg =
     match t.faults with
-    | None -> ignore (enqueue_raw t sh ?rng ~src ~dst msg)
+    | None -> enqueue_raw t sh ?rng ~src ~dst ~slot msg
     | Some fs -> (
         match Hashtbl.find_opt fs.by_channel ((src * Graph.n t.graph) + dst) with
-        | None -> ignore (enqueue_raw t sh ?rng ~src ~dst msg)
-        | Some events -> tamper events)
+        | None -> enqueue_raw t sh ?rng ~src ~dst ~slot msg
+        | Some events -> tamper t sh ?rng ~src ~dst ~slot msg events)
 
   let make_ctx t i =
     let sh = t.shards.(t.part.(i)) in
@@ -257,11 +248,12 @@ module Make (A : Node.AUTOMATON) = struct
     Node.make_ctx ~node:i ~id:(Graph.id t.graph i) ~n:(Graph.n t.graph) ~neighbors
       ~neighbor_ids:(Array.map (Graph.id t.graph) neighbors)
       ~send:(fun dst msg ->
-        if not (Graph.mem_edge t.graph i dst) then
+        let slot = Engine.slot_in neighbors dst in
+        if slot < 0 then
           invalid_arg (Printf.sprintf "Pengine: node %d sending to non-neighbour %d" i dst);
-        enqueue t sh ~src:i ~dst msg)
+        enqueue t sh ~src:i ~dst ~slot msg)
       ~note_suppressed:(fun k -> Metrics.record_suppressed sh.metrics k)
-      ~now:(fun () -> sh.now) ()
+      ~now:(fun () -> sh.clock.now) ()
 
   let fresh_floors graph =
     Array.init (Graph.n graph) (fun u -> Array.make (Graph.degree graph u) neg_infinity)
@@ -299,9 +291,9 @@ module Make (A : Node.AUTOMATON) = struct
       Array.init k (fun s ->
           {
             sid = s;
-            heap = Heap.create ~capacity:(max 16 (4 * n / k)) ();
+            queue = Pool.create ~capacity:(max 16 ((n + k - 1) / k));
             seq = 0;
-            now = 0.0;
+            clock = { now = 0.0; tampered_until = neg_infinity };
             current_tag = 0;
             rounds = 0;
             deliveries = 0;
@@ -311,7 +303,6 @@ module Make (A : Node.AUTOMATON) = struct
             inboxes = Array.init k (fun _ -> Mailbox.create ~capacity:256 ());
             sched = [];
             fstats = Fault.zero_stats;
-            tampered_until = neg_infinity;
           })
     in
     let t =
@@ -365,7 +356,9 @@ module Make (A : Node.AUTOMATON) = struct
               let c = Prng.int rng 3 in
               for _ = 1 to c do
                 match A.random_msg t.ctxs.(src) rng with
-                | Some msg -> enqueue ~rng t t.shards.(part.(src)) ~src ~dst msg
+                | Some msg ->
+                    enqueue ~rng t t.shards.(part.(src)) ~src ~dst
+                      ~slot:(Engine.slot_in (Graph.neighbors graph src) dst) msg
                 | None -> ()
               done
             in
@@ -376,8 +369,7 @@ module Make (A : Node.AUTOMATON) = struct
       let sh = t.shards.(part.(i)) in
       let key = Shard.key ~shard:sh.sid ~seq:sh.seq in
       sh.seq <- sh.seq + 1;
-      Heap.push_at sh.heap ~prio:(Prng.float rng tick_period) ~seq:key
-        (Tick { node = i; tag = 1 })
+      Pool.tick sh.queue ~time:(Prng.float rng tick_period) ~seq:key ~node:i ~tag:1
     done;
     (* Post-create latency streams, split in node order AFTER the draws
        above so the prefix stays bit-identical with Engine.create. *)
@@ -389,33 +381,39 @@ module Make (A : Node.AUTOMATON) = struct
   (* ---------------------------------------------------------------- *)
   (* Execution. *)
 
-  let execute t sh time key ev =
-    if time > sh.now then sh.now <- time;
-    let tag = match ev with Tick { tag; _ } | Deliver { tag; _ } -> tag in
+  (* Execute the shard's next event.  Every field is read before the slot
+     is released: the handler's own sends may reuse it. *)
+  let execute_next t sh =
+    let q = sh.queue and clock = sh.clock in
+    let key = Pool.top_seq q in
+    let h = Pool.pop q in
+    let time = q.time.(h) in
+    if time > clock.now then clock.now <- time;
+    let tag = q.tag.(h) and src = q.src.(h) and dst = q.dst.(h) and msg = q.msg.(h) in
+    Pool.release q h;
     sh.current_tag <- tag;
     if tag > sh.rounds then sh.rounds <- tag;
     sh.executed <- sh.executed + 1;
     if t.recording then
       sh.sched <-
-        (match ev with
-        | Tick { node; _ } -> (time, key, -node - 1)
-        | Deliver { src; dst; _ } -> (time, key, (src * Graph.n t.graph) + dst))
-        :: sh.sched;
-    match ev with
-    | Tick { node = i; _ } ->
-        t.states.(i) <- A.on_tick t.ctxs.(i) t.states.(i);
-        Metrics.record_state_bits sh.metrics (A.state_bits ~n:(Graph.n t.graph) t.states.(i));
-        let key' = Shard.key ~shard:sh.sid ~seq:sh.seq in
-        sh.seq <- sh.seq + 1;
-        Heap.push_at sh.heap ~prio:(sh.now +. t.tick_period) ~seq:key'
-          (Tick { node = i; tag = tag + 1 })
-    | Deliver { src; dst; msg; _ } ->
-        sh.deliveries <- sh.deliveries + 1;
-        Metrics.record_delivery sh.metrics;
-        t.states.(dst) <- A.on_message t.ctxs.(dst) t.states.(dst) ~src msg
+        (time, key, if dst < 0 then -src - 1 else (src * Graph.n t.graph) + dst) :: sh.sched;
+    if dst < 0 then begin
+      let i = src in
+      t.states.(i) <- A.on_tick t.ctxs.(i) t.states.(i);
+      Metrics.record_state_bits sh.metrics (A.state_bits ~n:(Graph.n t.graph) t.states.(i));
+      let key' = Shard.key ~shard:sh.sid ~seq:sh.seq in
+      sh.seq <- sh.seq + 1;
+      Pool.tick q ~time:(clock.now +. t.tick_period) ~seq:key' ~node:i ~tag:(tag + 1)
+    end
+    else begin
+      sh.deliveries <- sh.deliveries + 1;
+      Metrics.record_delivery sh.metrics;
+      t.states.(dst) <- A.on_message t.ctxs.(dst) t.states.(dst) ~src msg
+    end
 
   (* One read -> drain -> execute -> publish pass; returns
-     (made_progress, window_done). *)
+     (made_progress, window_done).  Event times are read from the pool's
+     float array, never through a call returning a (boxed) float. *)
   let shard_pass t sh ~until =
     let hmin = ref infinity in
     Array.iter
@@ -425,15 +423,13 @@ module Make (A : Node.AUTOMATON) = struct
       sh.in_shards;
     ignore (drain_inboxes sh);
     let bound = Float.min (!hmin +. t.lookahead) until in
+    let q = sh.queue in
     let progressed = ref false in
-    while (not (Heap.is_empty sh.heap)) && Heap.top_prio sh.heap < bound do
-      let time = Heap.top_prio sh.heap in
-      let key = Heap.top_seq sh.heap in
-      let ev = Heap.drop_min sh.heap in
-      execute t sh time key ev;
+    while (not (Pool.is_empty q)) && q.time.(Pool.top q) < bound do
+      execute_next t sh;
       progressed := true
     done;
-    let next_local = if Heap.is_empty sh.heap then infinity else Heap.top_prio sh.heap in
+    let next_local = if Pool.is_empty q then infinity else q.time.(Pool.top q) in
     Shard.Clocks.advance t.clocks sh.sid (Float.min next_local (!hmin +. t.lookahead));
     (!progressed, next_local >= until && !hmin +. t.lookahead >= until)
 
@@ -513,17 +509,19 @@ module Make (A : Node.AUTOMATON) = struct
   let pending_events t =
     Array.fold_left
       (fun acc sh ->
-        acc + Heap.length sh.heap
+        acc + Pool.length sh.queue
         + Array.fold_left (fun a mb -> a + Mailbox.length mb) 0 sh.inboxes)
       0 t.shards
 
   let in_flight t =
     Array.to_list t.shards
-    |> List.concat_map (fun sh -> Heap.to_list sh.heap)
-    |> List.filter_map (fun (prio, ev) ->
-           match ev with
-           | Deliver { src; dst; msg; _ } -> Some (prio, (src, dst, msg))
-           | Tick _ -> None)
+    |> List.concat_map (fun sh ->
+           let q = sh.queue in
+           List.filter_map
+             (fun h ->
+               if Pool.is_tick q h then None
+               else Some (q.time.(h), (q.src.(h), q.dst.(h), q.msg.(h))))
+             (Pool.handles q))
     |> List.sort (fun (a, _) (b, _) -> compare a b)
     |> List.map snd
 
@@ -577,7 +575,7 @@ module Make (A : Node.AUTOMATON) = struct
 
   let faults_pending t =
     t.faults <> None
-    && Array.exists (fun sh -> t.horizon <= sh.tampered_until) t.shards
+    && Array.exists (fun sh -> t.horizon <= sh.clock.tampered_until) t.shards
 
   (* ---------------------------------------------------------------- *)
   (* Recorded schedule. *)

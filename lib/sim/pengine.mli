@@ -2,7 +2,7 @@
     domains).
 
     The graph is partitioned into [domains] node-shards; each shard runs
-    its own event heap, PRNG draws, FIFO floors and metrics on a dedicated
+    its own event pool, PRNG draws, FIFO floors and metrics on a dedicated
     domain.  Cross-shard sends cross bounded SPSC mailboxes; shards
     synchronise through published clocks with lookahead
     [Latency.min_delay] — see the implementation header for the protocol

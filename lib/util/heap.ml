@@ -1,26 +1,28 @@
-(* Parallel-array binary min-heap.
+(* Parallel-array binary min-heap of int handles.
 
-   Priorities, insertion sequence numbers and values live in three
-   parallel arrays instead of one entry record per element: a float array
-   stores its elements unboxed, so [push] and the engine-facing
-   [top_prio]/[drop_min] path allocate nothing at all.  The engine pushes
-   and pops one event per simulated send/tick — with entry records this
-   was ~11 words per push/pop pair, a measurable slice of the protocol
-   macro-benchmark's allocation volume (E20).
+   Priorities, tie-break sequence numbers and payloads live in three
+   parallel arrays: a float array stores its elements unboxed, and the
+   payload is a plain int (the discrete-event engines store an event-pool
+   handle, see [Mdst_sim.Pool]).  Moving an int is a plain store: no
+   [caml_modify] write barrier, no float-array tag check, and no young
+   pointer stored into a long-lived major-heap array, all of which a
+   polymorphic ['a array] pays on every sift level.
 
-   Vacated value slots must not keep the old element reachable: the
-   engine's event heap is long-lived, and a popped event pinned in
-   [values.(size)] would retain its whole message payload until the slot
-   is overwritten (if ever).  Every removal overwrites the slot with
-   [dummy], an unsafe placeholder that is never read. *)
+   Sifts move a hole instead of swapping: the entry being placed is held
+   in registers while the entries on its path shift by one level, and it
+   is written once at the end.  Because keys [(prio, seq)] are unique
+   (every push draws a fresh [seq], and [push_at] callers supply distinct
+   ones), each comparison a swap-based sift makes has the same outcome
+   here, so the array layout after every operation is exactly the one the
+   swap heap produced: [to_list] order and the order of equal-time events
+   do not change. *)
 
-type 'a t = {
+type t = {
   mutable prios : float array;
   mutable seqs : int array;
-  mutable values : 'a array;
+  mutable values : int array;
   mutable size : int;
   mutable next_seq : int;
-  dummy : 'a;
 }
 
 let create ?(capacity = 16) () =
@@ -28,30 +30,14 @@ let create ?(capacity = 16) () =
   {
     prios = Array.make capacity 0.0;
     seqs = Array.make capacity 0;
-    values = Array.make capacity (Obj.magic 0);
+    values = Array.make capacity 0;
     size = 0;
     next_seq = 0;
-    dummy = Obj.magic 0;
   }
 
 let length t = t.size
 
 let is_empty t = t.size = 0
-
-(* Min-ordering on (prio, seq): FIFO among equal priorities. *)
-let lt t i j =
-  t.prios.(i) < t.prios.(j) || (t.prios.(i) = t.prios.(j) && t.seqs.(i) < t.seqs.(j))
-
-let swap t i j =
-  let p = t.prios.(i) in
-  t.prios.(i) <- t.prios.(j);
-  t.prios.(j) <- p;
-  let s = t.seqs.(i) in
-  t.seqs.(i) <- t.seqs.(j);
-  t.seqs.(j) <- s;
-  let v = t.values.(i) in
-  t.values.(i) <- t.values.(j);
-  t.values.(j) <- v
 
 let grow t =
   let cap = 2 * Array.length t.prios in
@@ -61,45 +47,75 @@ let grow t =
   let seqs = Array.make cap 0 in
   Array.blit t.seqs 0 seqs 0 t.size;
   t.seqs <- seqs;
-  let values = Array.make cap t.dummy in
+  let values = Array.make cap 0 in
   Array.blit t.values 0 values 0 t.size;
   t.values <- values
 
-let rec sift_up t i =
-  if i > 0 then begin
-    let p = (i - 1) / 2 in
-    if lt t i p then begin
-      swap t i p;
-      sift_up t p
+(* Place the entry [(p, s, v)] at the hole [i], moving the hole up past
+   every parent that orders after the entry: (prio, seq) min-order, FIFO
+   among equal priorities. *)
+let rec sift_up t i p s v =
+  let parent = (i - 1) / 2 in
+  let pp = Array.unsafe_get t.prios parent and ps = Array.unsafe_get t.seqs parent in
+  if i > 0 && (p < pp || (p = pp && s < ps)) then begin
+    Array.unsafe_set t.prios i pp;
+    Array.unsafe_set t.seqs i ps;
+    Array.unsafe_set t.values i (Array.unsafe_get t.values parent);
+    sift_up t parent p s v
+  end
+  else begin
+    Array.unsafe_set t.prios i p;
+    Array.unsafe_set t.seqs i s;
+    Array.unsafe_set t.values i v
+  end
+
+(* Move the entry stored at slot [src] (outside the live prefix, so no
+   sift step overwrites it) into the hole [i], moving the hole down past
+   the smaller child while that child orders before the entry.  The entry
+   is addressed by index rather than passed as arguments: a float argument
+   would be boxed on every call. *)
+let rec sift_down t i src =
+  let p = Array.unsafe_get t.prios src and s = Array.unsafe_get t.seqs src in
+  let l = (2 * i) + 1 in
+  let c =
+    if l >= t.size then -1
+    else begin
+      let r = l + 1 in
+      if r < t.size then begin
+        let lp = Array.unsafe_get t.prios l and rp = Array.unsafe_get t.prios r in
+        if rp < lp || (rp = lp && Array.unsafe_get t.seqs r < Array.unsafe_get t.seqs l) then r
+        else l
+      end
+      else l
     end
+  in
+  if c >= 0 && (Array.unsafe_get t.prios c < p
+                || (Array.unsafe_get t.prios c = p && Array.unsafe_get t.seqs c < s))
+  then begin
+    Array.unsafe_set t.prios i (Array.unsafe_get t.prios c);
+    Array.unsafe_set t.seqs i (Array.unsafe_get t.seqs c);
+    Array.unsafe_set t.values i (Array.unsafe_get t.values c);
+    sift_down t c src
   end
-
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.size && lt t l !smallest then smallest := l;
-  if r < t.size && lt t r !smallest then smallest := r;
-  if !smallest <> i then begin
-    swap t i !smallest;
-    sift_down t !smallest
+  else begin
+    Array.unsafe_set t.prios i p;
+    Array.unsafe_set t.seqs i s;
+    Array.unsafe_set t.values i (Array.unsafe_get t.values src)
   end
-
-let push t ~prio value =
-  if t.size = Array.length t.prios then grow t;
-  t.prios.(t.size) <- prio;
-  t.seqs.(t.size) <- t.next_seq;
-  t.values.(t.size) <- value;
-  t.next_seq <- t.next_seq + 1;
-  t.size <- t.size + 1;
-  sift_up t (t.size - 1)
 
 let push_at t ~prio ~seq value =
   if t.size = Array.length t.prios then grow t;
-  t.prios.(t.size) <- prio;
-  t.seqs.(t.size) <- seq;
-  t.values.(t.size) <- value;
   t.size <- t.size + 1;
-  sift_up t (t.size - 1)
+  sift_up t (t.size - 1) prio seq value
+
+let push t ~prio value =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  push_at t ~prio ~seq value
+
+let top t =
+  if t.size = 0 then invalid_arg "Heap.top: empty heap";
+  t.values.(0)
 
 let top_seq t =
   if t.size = 0 then invalid_arg "Heap.top_seq: empty heap";
@@ -112,14 +128,9 @@ let top_prio t =
 let drop_min t =
   if t.size = 0 then invalid_arg "Heap.drop_min: empty heap";
   let v = t.values.(0) in
-  t.size <- t.size - 1;
-  if t.size > 0 then begin
-    t.prios.(0) <- t.prios.(t.size);
-    t.seqs.(0) <- t.seqs.(t.size);
-    t.values.(0) <- t.values.(t.size)
-  end;
-  t.values.(t.size) <- t.dummy;
-  if t.size > 0 then sift_down t 0;
+  let last = t.size - 1 in
+  t.size <- last;
+  if last > 0 then sift_down t 0 last;
   v
 
 let pop t =
@@ -133,7 +144,6 @@ let pop t =
 let peek t = if t.size = 0 then None else Some (t.prios.(0), t.values.(0))
 
 let clear t =
-  Array.fill t.values 0 t.size t.dummy;
   t.size <- 0;
   t.next_seq <- 0
 
@@ -150,11 +160,16 @@ let filter t keep =
     end
   done;
   let removed = t.size - !kept in
-  Array.fill t.values !kept removed t.dummy;
   t.size <- !kept;
-  for i = (t.size / 2) - 1 downto 0 do
-    sift_down t i
-  done;
+  (* Heapify; each sifted entry is first parked in the slot past the live
+     prefix, which [removed > 0] guarantees exists. *)
+  if removed > 0 then
+    for i = (t.size / 2) - 1 downto 0 do
+      t.prios.(t.size) <- t.prios.(i);
+      t.seqs.(t.size) <- t.seqs.(i);
+      t.values.(t.size) <- t.values.(i);
+      sift_down t i t.size
+    done;
   removed
 
 let to_list t =

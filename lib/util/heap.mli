@@ -1,21 +1,28 @@
-(** Mutable binary min-heap with user-supplied priorities.
+(** Mutable binary min-heap of [int] payloads with user-supplied
+    priorities.
 
     The discrete-event simulator stores pending events here keyed by virtual
-    time; ties are broken by insertion order so that executions are
-    deterministic for a fixed seed. *)
+    time, the payload being a handle into its event pool
+    ([Mdst_sim.Pool]); ties are broken by insertion order so that
+    executions are deterministic for a fixed seed.  The payload is a plain
+    [int] on purpose: a polymorphic heap pays a write barrier per moved
+    slot, and holding the same handles it measured 10% slower end to end
+    (DESIGN.md §9). *)
 
-type 'a t
+type t
 
-val create : ?capacity:int -> unit -> 'a t
+val create : ?capacity:int -> unit -> t
 
-val length : 'a t -> int
+val length : t -> int
 
-val is_empty : 'a t -> bool
+val is_empty : t -> bool
 
-val push : 'a t -> prio:float -> 'a -> unit
-(** Amortised O(log n). *)
+val push : t -> prio:float -> int -> unit
+(** Amortised O(log n).  The heap itself allocates nothing once grown;
+    the caller boxes [prio] (two minor words) unless it already holds it
+    boxed. *)
 
-val push_at : 'a t -> prio:float -> seq:int -> 'a -> unit
+val push_at : t -> prio:float -> seq:int -> int -> unit
 (** Like {!push} but with a caller-supplied tie-break sequence instead of
     the heap's own insertion counter: among equal priorities, smaller [seq]
     pops first.  The sharded parallel engine keys events by a global
@@ -24,37 +31,42 @@ val push_at : 'a t -> prio:float -> seq:int -> 'a -> unit
     event is pushed at mailbox-drain time, which is racy).  Do not mix with
     {!push} on the same heap unless the two sequence spaces are disjoint. *)
 
-val top_seq : 'a t -> int
+val top : t -> int
+(** Payload of the minimum entry, without removing it.
+    @raise Invalid_argument on an empty heap. *)
+
+val top_seq : t -> int
 (** Tie-break sequence of the minimum entry ({!push_at}'s [seq], or the
-    insertion counter for {!push}).  Allocation-free.
+    insertion counter for {!push}).
     @raise Invalid_argument on an empty heap. *)
 
-val pop : 'a t -> (float * 'a) option
+val top_prio : t -> float
+(** Priority of the minimum entry without removing it.  The priorities
+    live in an unboxed float array, but the returned float is boxed (two
+    minor words) whenever the call is not inlined — always, across
+    libraries built with [-opaque] (dune's dev profile).  Hot loops that
+    keep the time elsewhere (the engines' event pool) read it there.
+    @raise Invalid_argument on an empty heap. *)
+
+val drop_min : t -> int
+(** Removes the minimum entry and returns its payload — the form of
+    {!pop} that allocates nothing (no option, no tuple).
+    @raise Invalid_argument on an empty heap. *)
+
+val pop : t -> (float * int) option
 (** Removes and returns the entry with the smallest priority (FIFO among
-    equal priorities). O(log n).  The heap drops its own reference to the
-    popped value: once the caller releases the result, the value is
-    collectable (the backing array never pins popped entries). *)
+    equal priorities). O(log n). *)
 
-val top_prio : 'a t -> float
-(** Priority of the minimum entry without removing it.  Allocation-free
-    (priorities live in an unboxed float array).
-    @raise Invalid_argument on an empty heap. *)
+val peek : t -> (float * int) option
 
-val drop_min : 'a t -> 'a
-(** Removes the minimum entry and returns its value only — the
-    allocation-free form of {!pop} for hot loops that read the priority
-    first via {!top_prio}.  Same release guarantee as {!pop}.
-    @raise Invalid_argument on an empty heap. *)
+val clear : t -> unit
 
-val peek : 'a t -> (float * 'a) option
+val to_list : t -> (float * int) list
+(** Snapshot in heap-array order; used by tests and fault injection. *)
 
-val clear : 'a t -> unit
-
-val to_list : 'a t -> (float * 'a) list
-(** Snapshot in arbitrary heap order; used by tests and fault injection. *)
-
-val filter : 'a t -> (float -> 'a -> bool) -> int
+val filter : t -> (float -> int -> bool) -> int
 (** [filter t keep] removes every entry for which [keep prio value] is
-    false and returns how many were removed.  The relative order of
-    surviving equal-priority entries is preserved (fault injection purges
-    channels without perturbing FIFO determinism).  O(n log n). *)
+    false and returns how many were removed.  [keep] is called exactly once
+    per entry, in heap-array order.  The relative order of surviving
+    equal-priority entries is preserved (fault injection purges channels
+    without perturbing FIFO determinism).  O(n). *)

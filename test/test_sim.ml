@@ -91,6 +91,52 @@ let test_metrics () =
   Metrics.reset m;
   Alcotest.(check int) "reset" 0 (Metrics.total_messages m)
 
+(* The label table matches by pointer first, then by [String.equal]: a
+   label rebuilt at run time (a physically distinct copy) must land on the
+   entry of the literal it equals, never in a second entry. *)
+let test_metrics_label_copies () =
+  let m = Metrics.create () in
+  Metrics.record_send m ~label:"info" ~bits:3;
+  Metrics.record_send m ~label:(String.concat "" [ "in"; "fo" ]) ~bits:4;
+  Metrics.record_send m ~label:(Bytes.to_string (Bytes.of_string "info")) ~bits:5;
+  Alcotest.(check (list (pair string int))) "one entry for the copies" [ ("info", 3) ]
+    (Metrics.messages_by_label m);
+  Alcotest.(check (list (pair string int))) "bits summed" [ ("info", 12) ]
+    (Metrics.bits_by_label m)
+
+(* Per-label counts, bit sums and merges against a hash-table reference
+   (the former implementation), over a random stream mixing literal labels
+   and fresh copies of them. *)
+let test_metrics_against_reference () =
+  let rng = Prng.create 77 in
+  let literals = [| "info"; "search"; "remove"; "grant"; "deblock" |] in
+  let add tbl k v = Hashtbl.replace tbl k (v + Option.value ~default:0 (Hashtbl.find_opt tbl k)) in
+  let sorted tbl = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []) in
+  let counts = Hashtbl.create 8 and bits_sums = Hashtbl.create 8 in
+  let stream m sends =
+    for _ = 1 to sends do
+      let l = literals.(Prng.int rng (Array.length literals)) in
+      let label = if Prng.bool rng then l else Bytes.to_string (Bytes.of_string l) in
+      let bits = Prng.int rng 100 in
+      Metrics.record_send m ~label ~bits;
+      add counts l 1;
+      add bits_sums l bits
+    done
+  in
+  let a = Metrics.create () and b = Metrics.create () in
+  stream a 2000;
+  Alcotest.(check (list (pair string int))) "messages_by_label" (sorted counts)
+    (Metrics.messages_by_label a);
+  Alcotest.(check (list (pair string int))) "bits_by_label" (sorted bits_sums)
+    (Metrics.bits_by_label a);
+  stream b 500;
+  Metrics.merge_into ~into:a b;
+  Alcotest.(check (list (pair string int))) "merged messages" (sorted counts)
+    (Metrics.messages_by_label a);
+  Alcotest.(check (list (pair string int))) "merged bits" (sorted bits_sums)
+    (Metrics.bits_by_label a);
+  Alcotest.(check int) "merged total" 2500 (Metrics.total_messages a)
+
 (* ---------------- A toy automaton: sequence-number flooding ---------------- *)
 
 (* Each node sends an incrementing counter to all neighbours on every tick
@@ -457,6 +503,170 @@ let test_shard_in_shards () =
   let adj1 = Shard.in_shards g [| 0; 0; 0; 0 |] ~k:1 in
   check "no peers at k=1" true (adj1.(0) = [||])
 
+(* ---------------- Event loop allocation ---------------- *)
+
+(* A gossip automaton that does no work of its own: on every tick each
+   node sends a unit to every neighbour.  What a step allocates under it
+   is the engine's own cost per event. *)
+module Null = struct
+  type state = unit
+  type msg = unit
+
+  let name = "null-gossip"
+  let init _ = ()
+  let random_state _ _ = ()
+  let random_msg _ _ = None
+
+  let on_tick (ctx : msg Node.ctx) () =
+    for k = 0 to Array.length ctx.neighbors - 1 do
+      ctx.send ctx.neighbors.(k) ()
+    done
+
+  let on_message _ () ~src:_ () = ()
+  let msg_label () = "null"
+  let msg_bits ~n:_ () = 1
+  let state_bits ~n:_ () = 1
+end
+
+module Null_engine = Mdst_sim.Engine.Make (Null)
+module Null_pengine = Mdst_sim.Pengine.Make (Null)
+
+(* Minor words per event over [events] events of [step], after a warm-up
+   that grows every structure to its steady size. *)
+let words_per_event ~events step =
+  for _ = 1 to events do
+    step ()
+  done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to events do
+    step ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int events
+
+(* The event loop's own allocation.  Each event is enqueued once, and the
+   out-of-line enqueue boxes its float time: 2 words, which is what this
+   measures (2.00).  The queue of one record per event that the event pool
+   replaced took 22.2. *)
+let test_engine_event_allocation () =
+  let e = Null_engine.create ~seed:3 (Gen.grid ~rows:5 ~cols:5) in
+  let w = words_per_event ~events:50_000 (fun () -> ignore (Null_engine.step e)) in
+  if w > 4.0 then Alcotest.failf "Engine.step: %.2f minor words per event (bound 4)" w
+
+(* The sharded engine on one domain, measured per executed event over
+   whole windows: the same 2 words per enqueue, plus a window's fixed
+   cost (the published-clock box per pass, the closures of the pass)
+   spread over its hundreds of events.  Measured 2.03 (24.3 before the event
+   pool). *)
+let test_pengine_event_allocation () =
+  let e = Null_pengine.create ~seed:3 ~domains:1 (Gen.grid ~rows:5 ~cols:5) in
+  let horizon = ref 0.0 in
+  let window () =
+    horizon := !horizon +. 8.0;
+    Null_pengine.run_window e ~until:!horizon
+  in
+  for _ = 1 to 20 do
+    window ()
+  done;
+  let ev0 = Null_pengine.events e and w0 = Gc.minor_words () in
+  for _ = 1 to 100 do
+    window ()
+  done;
+  let w = (Gc.minor_words () -. w0) /. float_of_int (Null_pengine.events e - ev0) in
+  if w > 3.0 then Alcotest.failf "Pengine window: %.2f minor words per event (bound 3)" w
+
+(* ---------------- Event pool release ---------------- *)
+
+(* Messages are heap blocks tracked through weak pointers: once the engine
+   has delivered, purged or executed a message, the pool must not keep it
+   reachable (a released slot's cell is overwritten). *)
+module Boxed = struct
+  type state = unit
+  type msg = int ref
+
+  let name = "boxed"
+  let init _ = ()
+  let random_state _ _ = ()
+  let random_msg _ _ = None
+  let on_tick _ () = ()
+  let on_message _ () ~src:_ _ = ()
+  let msg_label _ = "boxed"
+  let msg_bits ~n:_ _ = 1
+  let state_bits ~n:_ () = 1
+end
+
+module Boxed_engine = Mdst_sim.Engine.Make (Boxed)
+
+(* Inject one tracked message per ordered channel of the ring; a separate
+   function so no reference to a message survives in the caller's frame. *)
+let inject_tracked e w n =
+  for u = 0 to n - 1 do
+    let v = (u + 1) mod n in
+    let m = ref u in
+    Weak.set w u (Some m);
+    Boxed_engine.inject e ~src:u ~dst:v m
+  done
+
+let live_tracked w =
+  let live = ref 0 in
+  for i = 0 to Weak.length w - 1 do
+    if Weak.check w i then incr live
+  done;
+  !live
+
+let with_tracked f =
+  let n = 6 in
+  let e = Boxed_engine.create ~seed:1 (Gen.ring n) in
+  let w = Weak.create n in
+  inject_tracked e w n;
+  Alcotest.(check int) "injected messages pending" n (List.length (Boxed_engine.in_flight e));
+  f e;
+  Gc.full_major ();
+  (* Read the engine after the collection so it stays a root throughout. *)
+  Alcotest.(check int) "nothing left in flight" 0 (List.length (Boxed_engine.in_flight e));
+  Alcotest.(check int) "no released message retained" 0 (live_tracked w)
+
+let test_pool_releases_delivered () =
+  with_tracked (fun e ->
+      while Boxed_engine.in_flight e <> [] do
+        ignore (Boxed_engine.step e)
+      done)
+
+let test_pool_releases_purged () =
+  with_tracked (fun e ->
+      for u = 0 to 5 do
+        ignore (Boxed_engine.purge_channel e ~src:u ~dst:((u + 1) mod 6))
+      done)
+
+let test_pool_releases_crashed_and_cut () =
+  (* A crash purges the node's channels and a cut drops the edge's traffic
+     (reshape).  On the 6-ring with one message on each channel u -> u+1,
+     crashing 0 and 3 takes 5>0, 0>1, 2>3 and 3>4, and cutting 1-2 takes
+     1>2; the surviving 4>5 is then delivered. *)
+  with_tracked (fun e ->
+      Boxed_engine.install_faults e
+        (Mdst_sim.Fault.of_string "seed=1|crash:0:0:init|crash:0:3:init|cut:0:1-2");
+      ignore (Boxed_engine.step e);
+      let stats = Boxed_engine.fault_stats e in
+      Alcotest.(check int) "crashes fired" 2 stats.Mdst_sim.Fault.crashes;
+      Alcotest.(check int) "cut fired" 1 stats.Mdst_sim.Fault.cuts;
+      while Boxed_engine.in_flight e <> [] do
+        ignore (Boxed_engine.step e)
+      done)
+
+let test_pool_releases_step_with () =
+  with_tracked (fun e ->
+      let choose opts =
+        let rec first_delivery i =
+          match opts.(i) with
+          | Boxed_engine.Choose_deliver _ -> i
+          | Boxed_engine.Choose_tick _ -> first_delivery (i + 1)
+        in
+        first_delivery 0
+      in
+      while Boxed_engine.in_flight e <> [] do
+        ignore (Boxed_engine.step_with e ~choose)
+      done)
+
 let () =
   Alcotest.run "sim"
     [
@@ -478,7 +688,14 @@ let () =
           Alcotest.test_case "clocks monotone, no 2.0 cliff" `Quick test_shard_clocks;
           Alcotest.test_case "cross-shard adjacency" `Quick test_shard_in_shards;
         ] );
-      ("metrics", [ Alcotest.test_case "accounting" `Quick test_metrics ]);
+      ( "metrics",
+        [
+          Alcotest.test_case "accounting" `Quick test_metrics;
+          Alcotest.test_case "equal label copies share an entry" `Quick
+            test_metrics_label_copies;
+          Alcotest.test_case "matches hash-table reference" `Quick
+            test_metrics_against_reference;
+        ] );
       ( "engine",
         [
           Alcotest.test_case "fifo under reordering latency" `Quick test_engine_fifo;
@@ -496,6 +713,17 @@ let () =
           Alcotest.test_case "rejects disconnected" `Quick test_engine_rejects_disconnected;
           Alcotest.test_case "observer hook" `Quick test_engine_observer;
           Alcotest.test_case "rounds = causal depth" `Quick test_rounds_reflect_causal_depth;
+          Alcotest.test_case "step allocation per event" `Quick test_engine_event_allocation;
+          Alcotest.test_case "pengine allocation per event" `Quick
+            test_pengine_event_allocation;
+        ] );
+      ( "pool",
+        [
+          Alcotest.test_case "delivered message released" `Quick test_pool_releases_delivered;
+          Alcotest.test_case "purged message released" `Quick test_pool_releases_purged;
+          Alcotest.test_case "crash and cut release messages" `Quick
+            test_pool_releases_crashed_and_cut;
+          Alcotest.test_case "step_with choice released" `Quick test_pool_releases_step_with;
         ] );
       ( "trace",
         [

@@ -207,21 +207,22 @@ let test_prng_split_1k_distinct () =
 let test_heap_basic () =
   let h = Heap.create () in
   check "empty" true (Heap.is_empty h);
-  Heap.push h ~prio:3.0 "c";
-  Heap.push h ~prio:1.0 "a";
-  Heap.push h ~prio:2.0 "b";
+  Heap.push h ~prio:3.0 30;
+  Heap.push h ~prio:1.0 10;
+  Heap.push h ~prio:2.0 20;
   Alcotest.(check int) "length" 3 (Heap.length h);
-  Alcotest.(check (option (pair (float 0.0) string))) "peek" (Some (1.0, "a")) (Heap.peek h);
-  Alcotest.(check (option (pair (float 0.0) string))) "pop a" (Some (1.0, "a")) (Heap.pop h);
-  Alcotest.(check (option (pair (float 0.0) string))) "pop b" (Some (2.0, "b")) (Heap.pop h);
-  Alcotest.(check (option (pair (float 0.0) string))) "pop c" (Some (3.0, "c")) (Heap.pop h);
-  Alcotest.(check (option (pair (float 0.0) string))) "pop empty" None (Heap.pop h)
+  Alcotest.(check int) "top" 10 (Heap.top h);
+  Alcotest.(check (option (pair (float 0.0) int))) "peek" (Some (1.0, 10)) (Heap.peek h);
+  Alcotest.(check (option (pair (float 0.0) int))) "pop 10" (Some (1.0, 10)) (Heap.pop h);
+  Alcotest.(check (option (pair (float 0.0) int))) "pop 20" (Some (2.0, 20)) (Heap.pop h);
+  Alcotest.(check (option (pair (float 0.0) int))) "pop 30" (Some (3.0, 30)) (Heap.pop h);
+  Alcotest.(check (option (pair (float 0.0) int))) "pop empty" None (Heap.pop h)
 
 let test_heap_fifo_on_ties () =
   let h = Heap.create () in
-  List.iter (fun s -> Heap.push h ~prio:1.0 s) [ "first"; "second"; "third" ];
+  List.iter (fun v -> Heap.push h ~prio:1.0 v) [ 7; 3; 5 ];
   let order = List.init 3 (fun _ -> snd (Option.get (Heap.pop h))) in
-  Alcotest.(check (list string)) "insertion order among ties" [ "first"; "second"; "third" ] order
+  Alcotest.(check (list int)) "insertion order among ties" [ 7; 3; 5 ] order
 
 let test_heap_clear () =
   let h = Heap.create () in
@@ -229,94 +230,110 @@ let test_heap_clear () =
   Heap.clear h;
   check "cleared" true (Heap.is_empty h)
 
+let drain_values h =
+  let rec go acc = match Heap.pop h with None -> List.rev acc | Some (_, v) -> go (v :: acc) in
+  go []
+
 let test_heap_filter () =
   let h = Heap.create () in
-  List.iteri (fun i p -> Heap.push h ~prio:p (string_of_int i)) [ 5.0; 1.0; 3.0; 2.0; 4.0 ];
+  List.iteri (fun i p -> Heap.push h ~prio:p i) [ 5.0; 1.0; 3.0; 2.0; 4.0 ];
   let removed = Heap.filter h (fun prio _ -> prio < 3.5) in
   Alcotest.(check int) "removed count" 2 removed;
   Alcotest.(check int) "length after" 3 (Heap.length h);
-  let rec drain acc = match Heap.pop h with None -> List.rev acc | Some (_, v) -> drain (v :: acc) in
-  Alcotest.(check (list string)) "survivors in priority order" [ "1"; "3"; "2" ] (drain [])
+  Alcotest.(check (list int)) "survivors in priority order" [ 1; 3; 2 ] (drain_values h)
 
 let test_heap_filter_keeps_fifo () =
   let h = Heap.create () in
-  List.iter (fun s -> Heap.push h ~prio:1.0 s) [ "a"; "drop"; "b"; "drop"; "c" ];
-  let removed = Heap.filter h (fun _ v -> v <> "drop") in
+  List.iter (fun v -> Heap.push h ~prio:1.0 v) [ 1; -1; 2; -1; 3 ];
+  let removed = Heap.filter h (fun _ v -> v >= 0) in
   Alcotest.(check int) "removed" 2 removed;
-  let rec drain acc = match Heap.pop h with None -> List.rev acc | Some (_, v) -> drain (v :: acc) in
-  Alcotest.(check (list string)) "tie order preserved across filter" [ "a"; "b"; "c" ] (drain [])
+  Alcotest.(check (list int)) "tie order preserved across filter" [ 1; 2; 3 ] (drain_values h)
 
 let test_heap_to_list () =
   let h = Heap.create () in
-  List.iter (fun p -> Heap.push h ~prio:p p) [ 5.0; 1.0; 3.0 ];
+  List.iter (fun p -> Heap.push h ~prio:(float_of_int p) p) [ 5; 1; 3 ];
   let l = Heap.to_list h in
   Alcotest.(check int) "snapshot size" 3 (List.length l);
+  check "payloads match priorities" true (List.for_all (fun (p, v) -> p = float_of_int v) l);
   Alcotest.(check int) "heap unchanged" 3 (Heap.length h)
 
-(* Retention: the heap must not pin popped/removed values in its backing
-   array.  Values are tracked through weak pointers; after the structural
-   operation and a full major collection the weak slots must be empty. *)
+(* The heap moves entries by shifting a hole, the former implementation
+   swapped.  With unique (prio, seq) keys both make the same comparisons,
+   so the backing array — and with it [to_list] order, which schedule
+   exploration and fault injection observe — must be exactly the swap
+   heap's.  The oracle below is that swap heap, kept as the reference. *)
+module Swap_heap = struct
+  type t = { mutable a : (float * int * int) array; mutable size : int }
 
-let heap_fill h w k =
-  (* Separate function so no local reference to a pushed value survives in
-     the caller's frame. *)
-  for i = 0 to k - 1 do
-    let v = ref i in
-    Weak.set w i (Some v);
-    Heap.push h ~prio:(float_of_int i) v
+  let lt (p1, s1, _) (p2, s2, _) = p1 < p2 || (p1 = p2 && s1 < s2)
+
+  let swap t i j =
+    let x = t.a.(i) in
+    t.a.(i) <- t.a.(j);
+    t.a.(j) <- x
+
+  let rec up t i =
+    if i > 0 then begin
+      let p = (i - 1) / 2 in
+      if lt t.a.(i) t.a.(p) then (swap t i p; up t p)
+    end
+
+  let rec down t i =
+    let l = (2 * i) + 1 and r = (2 * i) + 2 in
+    let m = ref i in
+    if l < t.size && lt t.a.(l) t.a.(!m) then m := l;
+    if r < t.size && lt t.a.(r) t.a.(!m) then m := r;
+    if !m <> i then (swap t i !m; down t !m)
+
+  let push t e =
+    if t.size = Array.length t.a then t.a <- Array.append t.a (Array.make (t.size + 1) e);
+    t.a.(t.size) <- e;
+    t.size <- t.size + 1;
+    up t (t.size - 1)
+
+  let pop t =
+    t.size <- t.size - 1;
+    t.a.(0) <- t.a.(t.size);
+    if t.size > 0 then down t 0
+
+  let filter t keep =
+    let kept = List.filter keep (Array.to_list (Array.sub t.a 0 t.size)) in
+    List.iteri (fun i e -> t.a.(i) <- e) kept;
+    t.size <- List.length kept;
+    for i = (t.size / 2) - 1 downto 0 do down t i done
+
+  let to_list t = List.map (fun (p, _, v) -> (p, v)) (Array.to_list (Array.sub t.a 0 t.size))
+end
+
+let test_heap_layout_matches_swap_heap () =
+  let rng = Prng.create 0x5eed in
+  let h = Heap.create ~capacity:2 () and o = { Swap_heap.a = [||]; size = 0 } in
+  let seq = ref 0 in
+  for step = 1 to 5000 do
+    (match Prng.int rng 10 with
+    | 0 | 1 | 2 when Heap.length h > 0 ->
+        ignore (Heap.drop_min h);
+        Swap_heap.pop o
+    | 3 when step mod 7 = 0 ->
+        let cut = Prng.int rng 1000 in
+        ignore (Heap.filter h (fun _ v -> v mod 1000 <> cut mod 13));
+        Swap_heap.filter o (fun (_, _, v) -> v mod 1000 <> cut mod 13)
+    | _ ->
+        (* Few distinct priorities: plenty of ties for the seq to break. *)
+        let prio = float_of_int (Prng.int rng 8) and v = Prng.int rng 100_000 in
+        Heap.push_at h ~prio ~seq:!seq v;
+        Swap_heap.push o (prio, !seq, v);
+        incr seq);
+    if Heap.to_list h <> Swap_heap.to_list o then
+      Alcotest.failf "layout differs from the swap heap at step %d" step
   done
-
-let heap_drain h =
-  let rec go () = match Heap.pop h with None -> () | Some _ -> go () in
-  go ()
-
-let weak_live w =
-  let live = ref 0 in
-  for i = 0 to Weak.length w - 1 do
-    if Weak.check w i then incr live
-  done;
-  !live
-
-let test_heap_pop_releases () =
-  let h = Heap.create ~capacity:4 () in
-  let w = Weak.create 8 in
-  heap_fill h w 8;
-  heap_drain h;
-  Gc.full_major ();
-  Alcotest.(check int) "no popped value retained" 0 (weak_live w);
-  (* The emptied heap must still work. *)
-  Heap.push h ~prio:1.0 (ref 42);
-  Alcotest.(check int) "heap usable after drain" 1 (Heap.length h)
-
-let test_heap_filter_releases () =
-  let h = Heap.create ~capacity:4 () in
-  let w = Weak.create 8 in
-  heap_fill h w 8;
-  let removed = Heap.filter h (fun prio _ -> prio < 4.0) in
-  Alcotest.(check int) "removed" 4 removed;
-  Gc.full_major ();
-  let live = weak_live w in
-  (* Read the heap AFTER the collection so [h] itself stays a GC root
-     throughout — otherwise the whole heap dies and the count is vacuous. *)
-  Alcotest.(check int) "survivors still in heap" 4 (Heap.length h);
-  Alcotest.(check int) "only survivors retained" 4 live
-
-let test_heap_clear_releases () =
-  let h = Heap.create ~capacity:4 () in
-  let w = Weak.create 8 in
-  heap_fill h w 8;
-  Heap.clear h;
-  Gc.full_major ();
-  let live = weak_live w in
-  Alcotest.(check int) "heap empty but alive" 0 (Heap.length h);
-  Alcotest.(check int) "no cleared value retained" 0 live
 
 let prop_heap_sorts =
   QCheck.Test.make ~name:"heap pops in nondecreasing priority order" ~count:300
     QCheck.(small_list (float_bound_inclusive 100.0))
     (fun prios ->
       let h = Heap.create () in
-      List.iter (fun p -> Heap.push h ~prio:p p) prios;
+      List.iteri (fun i p -> Heap.push h ~prio:p i) prios;
       let rec drain acc = match Heap.pop h with None -> List.rev acc | Some (p, _) -> drain (p :: acc) in
       let out = drain [] in
       out = List.sort compare prios)
@@ -417,20 +434,21 @@ let test_parallel_exception_from_spawned_domain () =
 
 let test_heap_push_at_tiebreak () =
   let h = Heap.create () in
-  Heap.push_at h ~prio:1.0 ~seq:50 "late";
-  Heap.push_at h ~prio:1.0 ~seq:7 "early";
-  Heap.push_at h ~prio:0.5 ~seq:99 "first";
+  Heap.push_at h ~prio:1.0 ~seq:50 3;
+  Heap.push_at h ~prio:1.0 ~seq:7 2;
+  Heap.push_at h ~prio:0.5 ~seq:99 1;
   Alcotest.(check int) "top_seq reads the minimum's seq" 99 (Heap.top_seq h);
   let pop_v () = match Heap.pop h with Some (_, v) -> v | None -> Alcotest.fail "empty" in
-  Alcotest.(check string) "smallest prio first" "first" (pop_v ());
-  Alcotest.(check string) "smaller seq breaks the tie" "early" (pop_v ());
-  Alcotest.(check string) "larger seq last" "late" (pop_v ())
+  Alcotest.(check int) "smallest prio first" 1 (pop_v ());
+  Alcotest.(check int) "smaller seq breaks the tie" 2 (pop_v ());
+  Alcotest.(check int) "larger seq last" 3 (pop_v ())
 
 let test_heap_push_at_oracle () =
   (* Stress against a sorted-list oracle: few distinct priorities (lots of
      ties) with caller-supplied sequence numbers in shuffled insertion
      order — pops must come out in exact (prio, seq) order regardless of
-     when each entry was pushed. *)
+     when each entry was pushed.  The payload is the seq, which the order
+     determines. *)
   let rng = Prng.create 0x4ea9 in
   for _round = 1 to 40 do
     let n = 1 + Prng.int rng 200 in
@@ -440,37 +458,26 @@ let test_heap_push_at_oracle () =
     let shuffled = Array.of_list entries in
     Prng.shuffle rng shuffled;
     let h = Heap.create ~capacity:4 () in
-    Array.iter (fun (prio, seq) -> Heap.push_at h ~prio ~seq (prio, seq)) shuffled;
+    Array.iter (fun (prio, seq) -> Heap.push_at h ~prio ~seq seq) shuffled;
     let oracle = List.sort compare entries in
     let popped =
       List.init n (fun _ ->
-          match Heap.pop h with Some (_, v) -> v | None -> Alcotest.fail "heap ran dry")
+          match Heap.pop h with Some (p, v) -> (p, v) | None -> Alcotest.fail "heap ran dry")
     in
     check "pops in (prio, seq) order" true (popped = oracle)
   done
 
-let test_heap_push_at_releases () =
-  (* Same vacated-slot guarantee as push/pop: nothing popped stays
-     reachable from the backing array. *)
-  let h = Heap.create ~capacity:4 () in
-  let w = Weak.create 8 in
-  let fill () =
-    for i = 0 to 7 do
-      let v = ref i in
-      Weak.set w i (Some v);
-      Heap.push_at h ~prio:(float_of_int (i / 2)) ~seq:(7 - i) v
-    done
-  in
-  fill ();
-  heap_drain h;
-  Gc.full_major ();
-  Alcotest.(check int) "no popped value retained" 0 (weak_live w);
-  Heap.push_at h ~prio:1.0 ~seq:0 (ref 42);
-  Alcotest.(check int) "heap usable after drain" 1 (Heap.length h)
-
 (* ---------------- Mailbox ---------------- *)
 
 module Mailbox = Mdst_util.Mailbox
+
+(* How many of the values tracked in [w] are still reachable. *)
+let weak_live w =
+  let live = ref 0 in
+  for i = 0 to Weak.length w - 1 do
+    if Weak.check w i then incr live
+  done;
+  !live
 
 let test_mailbox_fifo () =
   let mb = Mailbox.create ~capacity:8 () in
@@ -592,6 +599,18 @@ let test_sizing () =
   check "list bits grow with count" true
     (Sizing.list_bits ~n:16 8 10 > Sizing.list_bits ~n:16 8 2)
 
+(* [bits_for_card] counts bits with shifts; the float formula it replaced
+   is kept here as the reference, over every n up to 2^22. *)
+let test_sizing_matches_float_formula () =
+  let reference n =
+    if n <= 1 then 1 else int_of_float (ceil (log (float_of_int n) /. log 2.0))
+  in
+  for n = 0 to 1 lsl 22 do
+    if Sizing.bits_for_card n <> reference n then
+      Alcotest.failf "bits_for_card %d = %d, float formula %d" n (Sizing.bits_for_card n)
+        (reference n)
+  done
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "util"
@@ -626,12 +645,10 @@ let () =
           Alcotest.test_case "filter" `Quick test_heap_filter;
           Alcotest.test_case "filter keeps fifo ties" `Quick test_heap_filter_keeps_fifo;
           Alcotest.test_case "to_list snapshot" `Quick test_heap_to_list;
-          Alcotest.test_case "pop releases values" `Quick test_heap_pop_releases;
-          Alcotest.test_case "filter releases removed values" `Quick test_heap_filter_releases;
-          Alcotest.test_case "clear releases values" `Quick test_heap_clear_releases;
+          Alcotest.test_case "layout matches the swap heap" `Quick
+            test_heap_layout_matches_swap_heap;
           Alcotest.test_case "push_at tie-break" `Quick test_heap_push_at_tiebreak;
           Alcotest.test_case "push_at vs sorted-list oracle" `Quick test_heap_push_at_oracle;
-          Alcotest.test_case "push_at releases popped values" `Quick test_heap_push_at_releases;
           q prop_heap_sorts;
           q prop_heap_grows;
         ] );
@@ -660,5 +677,10 @@ let () =
           Alcotest.test_case "pop clears the slot" `Quick test_mailbox_pop_clears_slot;
           Alcotest.test_case "cross-domain stream" `Quick test_mailbox_cross_domain;
         ] );
-      ("sizing", [ Alcotest.test_case "bit accounting" `Quick test_sizing ]);
+      ( "sizing",
+        [
+          Alcotest.test_case "bit accounting" `Quick test_sizing;
+          Alcotest.test_case "integer log2 = float formula to 2^22" `Quick
+            test_sizing_matches_float_formula;
+        ] );
     ]
