@@ -7,6 +7,7 @@
      bench        engine macro-benchmarks; writes BENCH_engine.json
      pardet       parallel-determinism check (sharded schedule conformance
                   + fingerprint equivalence across shard counts)
+     replay       re-execute one scenario line printed by a check tool
      families     list the available graph families and named workloads *)
 
 open Cmdliner
@@ -135,15 +136,13 @@ let run_cmd =
                   Printf.printf "  [round %5d | t=%8.1f] fault:%-5s %s\n" round time kind detail
               | Mdst_sim.Engine.Obs_deliver _ | Mdst_sim.Engine.Obs_tick _ -> ())
           end;
-          (* Convergence only counts once the adversary is done: strictly
-             past the last fault round, with no scheduled event waiting. *)
+          (* Convergence only counts once the adversary is done. *)
           let last_fault =
             match plan with Some p -> Mdst_sim.Fault.last_fault_round p | None -> -1
           in
-          let base_stop = Run.make_stop ~fixpoint () in
-          let stop e =
-            let held = base_stop e in
-            held && Run.Engine.rounds e > last_fault && not (Run.Engine.faults_pending e)
+          let stop =
+            Mdst_check.Replay.stop_after_faults ~last_fault ~rounds:Run.Engine.rounds
+              ~faults_pending:Run.Engine.faults_pending (Run.make_stop ~fixpoint ())
           in
           let outcome = Run.Engine.run engine ~max_rounds ~check_every:2 ~stop () in
           if trace > 0 then Run.Engine.unobserve engine;
@@ -391,7 +390,7 @@ let pardet_cmd =
     List.iter
       (fun d ->
         if d > 1 then begin
-          let r = P.Default.run_case { P.graph; seed; init; domains = d; until } in
+          let r = P.run_case { P.graph; seed; init; domains = d; until } in
           match r.P.failure with
           | None ->
               Printf.printf "  conformance domains=%d: OK (%d events replayed)\n%!" d r.P.events
@@ -400,7 +399,7 @@ let pardet_cmd =
               Printf.printf "  conformance domains=%d: FAIL — %s\n%!" d why
         end)
       domains;
-    let eq = P.Default.fingerprint_equivalence ~max_rounds ~seed ~init ~domains graph in
+    let eq = P.fingerprint_equivalence ~max_rounds ~seed ~init ~domains graph in
     List.iter
       (fun (d, converged, fp) ->
         Printf.printf "  domains=%d  converged=%b  fingerprint=%d\n" d converged fp)
@@ -451,87 +450,101 @@ let pbt_cmd =
   let broken_arg =
     Arg.(value & flag & info [ "broken" ] ~doc:"Test the deliberately broken grant-dropping protocol variant instead of the real one.  The run succeeds when the property is $(i,falsified) and prints the shrunk reproducer — a self-check that the harness catches real bugs.")
   in
-  let replay_arg =
-    Arg.(value & opt (some string) None & info [ "replay" ] ~docv:"CASE" ~doc:"Skip generation and replay one printed reproducer (the $(b,n=..;edges=..;seed=..;plan=..) line a failure reports).")
-  in
-  let action tests seed suite max_nodes max_events broken replay =
+  let action tests seed suite max_nodes max_events broken =
     let module C = Mdst_check.Convergence in
     let module P = Mdst_check.Property in
     let module S = Mdst_check.Suites in
-    let run_case, prop, variant =
-      if broken then (C.Broken.run_case, C.Broken.prop () , "broken grant-dropping variant")
-      else (C.Default.run_case, C.Default.prop (), "paper protocol")
+    let failures = ref 0 in
+    let run_packed packed =
+      match S.check ~tests ~seed packed with
+      | P.Passed { tests } -> Printf.printf "PASS %-36s %d tests\n%!" (S.name packed) tests
+      | P.Falsified c ->
+          incr failures;
+          print_endline (P.render ~name:(S.name packed) c)
     in
-    match replay with
-    | Some line ->
-        let case = C.case_of_string line in
-        Printf.printf "replaying (%s): %s\n%!" variant (C.case_to_string case);
-        let r = run_case ?budget:None case in
-        Printf.printf
-          "converged: %b\nrounds: %d (last fault at round %d)\ntree degree: %s (FR reference %d)\nclosure: %b\n"
-          r.C.converged r.C.rounds r.C.last_fault_round
-          (match r.C.degree with Some d -> string_of_int d | None -> "-")
-          r.C.fr_degree r.C.closure_ok;
-        Format.printf "faults applied: %a@." Mdst_sim.Fault.pp_stats r.C.stats;
-        (match prop case with
-        | Ok () -> print_endline "property: holds on this case"
-        | Error reason ->
-            Printf.printf "property: falsified — %s\n" reason;
-            exit 1)
-    | None ->
-        let failures = ref 0 in
-        let run_packed packed =
-          match S.check ~tests ~seed packed with
-          | P.Passed { tests } -> Printf.printf "PASS %-36s %d tests\n%!" (S.name packed) tests
-          | P.Falsified c ->
-              incr failures;
-              print_endline (P.render ~name:(S.name packed) c)
+    (match suite with
+    | "convergence" | "all" -> ()
+    | s -> ignore (S.by_name s));
+    (match suite with
+    | "convergence" -> ()
+    | s -> List.iter run_packed (S.by_name (if s = "all" then "all" else s)));
+    (match suite with
+    | "convergence" | "all" ->
+        let property =
+          C.property ~max_n:max_nodes ~max_events (if broken then `Broken else `Default)
         in
-        (match suite with
-        | "convergence" | "all" -> ()
-        | s -> ignore (S.by_name s));
-        (match suite with
-        | "convergence" -> ()
-        | s -> List.iter run_packed (S.by_name (if s = "all" then "all" else s)));
-        (match suite with
-        | "convergence" | "all" ->
-            let property =
-              (if broken then C.Broken.property else C.Default.property)
-                ~max_n:max_nodes ~max_events ()
-            in
-            let t0 = Sys.time () in
-            (match P.check ~tests ~seed property with
-            | P.Passed { tests } ->
-                Printf.printf "%s %-36s %d tests (%.1fs)\n%!"
-                  (if broken then "FAIL" else "PASS")
-                  property.P.name tests (Sys.time () -. t0);
-                if broken then begin
-                  incr failures;
-                  print_endline
-                    "expected the broken variant to be falsified, but every test passed"
-                end
-            | P.Falsified c ->
-                if broken then begin
-                  Printf.printf
-                    "falsified as expected (%d tests, %d shrink steps).  Shrunk reproducer:\n  %s\nreason: %s\nreplay with: mdst_sim pbt --broken --replay '%s'\n%!"
-                    c.P.tests_run c.P.shrink_steps c.P.printed c.P.reason c.P.printed
-                end
-                else begin
-                  incr failures;
-                  print_endline (P.render ~name:property.P.name c)
-                end)
-        | _ -> ());
-        if !failures > 0 then exit 1
+        let t0 = Sys.time () in
+        (match P.check ~tests ~seed property with
+        | P.Passed { tests } ->
+            Printf.printf "%s %-36s %d tests (%.1fs)\n%!"
+              (if broken then "FAIL" else "PASS")
+              property.P.name tests (Sys.time () -. t0);
+            if broken then begin
+              incr failures;
+              print_endline
+                "expected the broken variant to be falsified, but every test passed"
+            end
+        | P.Falsified c ->
+            if broken then begin
+              Printf.printf
+                "falsified as expected (%d tests, %d shrink steps).  Shrunk reproducer:\n  %s\nreason: %s\nreplay with: mdst_sim replay '%s'\n%!"
+                c.P.tests_run c.P.shrink_steps c.P.printed c.P.reason c.P.printed
+            end
+            else begin
+              incr failures;
+              print_endline (P.render ~name:property.P.name c)
+            end)
+    | _ -> ());
+    if !failures > 0 then exit 1
   in
   let term =
     Term.(
       const action $ tests_arg $ pbt_seed_arg $ suite_arg $ max_nodes_arg $ max_events_arg
-      $ broken_arg $ replay_arg)
+      $ broken_arg)
   in
   Cmd.v
     (Cmd.info "pbt"
        ~doc:"Property-based testing: generate random (topology, fault plan, seed) cases, check convergence-under-adversity, shrink failures to minimal reproducers.")
     term
+
+(* ---- replay ---- *)
+
+let replay_cmd =
+  let line_arg =
+    Arg.(required & pos 0 (some string) None
+         & info [] ~docv:"SCENARIO"
+             ~doc:"A scenario line, as printed by $(b,pbt), $(b,explore), $(b,fuzz) or a failing \
+                   test, e.g. $(b,init=clean;n=3;edges=0-1,1-2;seed=5;events=400).")
+  in
+  let action line =
+    let module Rp = Mdst_check.Replay in
+    let s = Mdst_check.Scenario.of_string line in
+    Printf.printf "replaying: %s\n%!" (Mdst_check.Scenario.to_string s);
+    match Rp.replay s with
+    | exception Failure why -> Printf.printf "cannot replay: %s\n" why; exit 2
+    | v ->
+        Printf.printf "events run: %d\n" (List.length v.Rp.executed);
+        Option.iter
+          (fun (a : Rp.adversity) ->
+            Format.printf
+              "converged: %b@\nrounds: %d (last fault at round %d)@\ntree degree: %s (FR reference \
+               %d)@\nclosure: %b@\nfaults applied: %a@."
+              a.converged a.rounds a.last_fault_round
+              (Option.fold ~none:"-" ~some:string_of_int a.degree)
+              a.fr_degree a.closure_ok Mdst_sim.Fault.pp_stats a.stats)
+          v.Rp.adversity;
+        Option.iter
+          (fun (f : Rp.failure) ->
+            Printf.printf "verdict: %s — %s\n" (Rp.kind_to_string f.kind) f.detail;
+            exit 1)
+          v.Rp.failure;
+        print_endline "verdict: every check held"
+  in
+  Cmd.v
+    (Cmd.info "replay"
+       ~doc:"Re-execute one scenario line and judge it with its oracle.  Exit status 1 when a \
+             check fails, 2 when an explicit schedule cannot be replayed, 0 otherwise.")
+    Term.(const action $ line_arg)
 
 (* ---- explore ---- *)
 
@@ -573,19 +586,16 @@ let explore_cmd =
         (min max_depth 6, min max_configs 3_000, min random_inits 2, min walks 1, min walk_steps 150)
       else (max_depth, max_configs, random_inits, walks, walk_steps)
     in
-    let module X =
-      (val (if suppressed then (module Mdst_check.Explore.Suppressed)
-            else (module Mdst_check.Explore.Default))
-          : Mdst_check.Explore.S)
-    in
+    let module X = Mdst_check.Explore in
+    let variant = if suppressed then `Suppressed else `Default in
     Printf.printf "graph: %s  n=%d m=%d  variant: %s\n%!" family (Graph.n graph) (Graph.m graph)
       (if suppressed then "suppressed" else "default");
     let violations = ref [] in
     let run_dfs label init =
       let t0 = Sys.time () in
-      let stats, vio = X.dfs ~max_depth ~max_configs ~init graph in
+      let stats, vio = X.dfs ~max_depth ~max_configs ~variant ~init graph in
       Printf.printf "  dfs  %-16s %6d configs, %7d transitions, depth<=%d%s (%.1fs)%s\n%!" label
-        stats.Mdst_check.Explore.configs stats.transitions stats.max_depth_reached
+        stats.X.configs stats.transitions stats.max_depth_reached
         (if stats.truncated then ", truncated" else "")
         (Sys.time () -. t0)
         (match vio with None -> "" | Some _ -> "  VIOLATION");
@@ -593,7 +603,7 @@ let explore_cmd =
       | None -> ()
       | Some v ->
           violations :=
-            (label, Format.asprintf "%a" Mdst_check.Explore.pp_violation v) :: !violations
+            (label, Format.asprintf "%a" X.pp_violation v) :: !violations
     in
     run_dfs "clean" `Clean;
     run_dfs "legitimate" `Legitimate;
@@ -602,7 +612,7 @@ let explore_cmd =
     done;
     for i = 0 to walks - 1 do
       let wseed = seed + 100 + i in
-      match X.walk ~steps:walk_steps ~seed:wseed ~init:`Random graph with
+      match X.walk ~steps:walk_steps ~variant ~seed:wseed ~init:`Random graph with
       | Ok steps ->
           Printf.printf "  walk random seed=%d: %d lockstep events conformant\n%!" wseed steps
       | Error e -> violations := (Printf.sprintf "walk seed=%d" wseed, e) :: !violations
@@ -663,13 +673,6 @@ let fuzz_cmd =
              ~doc:"Persist the corpus: load $(docv) before the swarm sweep, save every \
                    retained entry and shrunk trophy into it.")
   in
-  let replay_arg =
-    Arg.(value & opt (some string) None
-         & info [ "replay" ] ~docv:"CASE"
-             ~doc:"Skip fuzzing and strictly replay one reproducer line (as emitted for a \
-                   trophy or saved in a corpus).  Exit status 1 when the violation \
-                   reproduces, 0 when the execution is clean.")
-  in
   let random_arg =
     Arg.(value & flag
          & info [ "random" ]
@@ -692,60 +695,52 @@ let fuzz_cmd =
     Arg.(value & opt string "BENCH_fuzz.json"
          & info [ "out" ] ~docv:"FILE" ~doc:"Where $(b,--bench) writes its JSON.")
   in
-  let action quick budget execs seed max_n corpus replay random bench seeds out =
+  let action quick budget execs seed max_n corpus random bench seeds out =
     let module F = Mdst_check.Fuzz in
-    match replay with
-    | Some line -> (
-        let e = F.entry_of_string line in
-        Printf.printf "replaying: %s\n%!" (F.entry_to_string e);
-        match F.replay e with
-        | Ok () -> print_endline "replay clean: no violation"
-        | Error (kind, detail) ->
-            Printf.printf "reproduced %s: %s\n" (F.kind_to_string kind) detail;
-            exit 1)
-    | None ->
-        if bench then begin
-          let json, beaten = F.bench_json ~quick ~seeds ~seed () in
-          let oc = open_out out in
-          output_string oc json;
-          close_out oc;
-          Printf.printf "wrote %s\n" out;
-          Printf.printf "fuzz beats random on all mutants: %b\n" beaten;
-          if not beaten then exit 1
-        end
-        else begin
-          let mode = if random then `Random_walk else `Fuzz in
-          let budget_s = if quick then min budget 30.0 else budget in
-          let st =
-            F.campaign ~mode ~quick ~budget_s ?max_execs:execs ?max_n
-              ?corpus_dir:corpus ~seed ()
-          in
-          Printf.printf
-            "%s: %d executions in %.1fs (%.0f/s)\ncorpus: %d entries%s\n\
-             coverage: %d fingerprints, %d coarse shapes, %d probe buckets\n"
-            (match mode with `Fuzz -> "fuzz" | `Random_walk -> "random walk")
-            st.F.s_execs st.F.s_elapsed
-            (float_of_int st.F.s_execs /. Float.max 1e-9 st.F.s_elapsed)
-            st.F.s_corpus
-            (match corpus with Some d -> Printf.sprintf " (saved in %s)" d | None -> "")
-            st.F.s_fine st.F.s_coarse st.F.s_buckets;
-          match st.F.s_trophies with
-          | [] -> print_endline "no violations found"
-          | ts ->
-              Printf.printf "%d TROPHIES (shrunk; replay with --replay):\n" (List.length ts);
-              List.iter
-                (fun (t : F.trophy) ->
-                  Printf.printf "  %s: %s\n    %s\n" (F.kind_to_string t.F.t_kind)
-                    t.F.t_detail
-                    (F.entry_to_string t.F.t_entry))
-                ts;
-              exit 1
-        end
+    if bench then begin
+      let json, beaten = F.bench_json ~quick ~seeds ~seed () in
+      let oc = open_out out in
+      output_string oc json;
+      close_out oc;
+      Printf.printf "wrote %s\n" out;
+      Printf.printf "fuzz beats random on all mutants: %b\n" beaten;
+      if not beaten then exit 1
+    end
+    else begin
+      let mode = if random then `Random_walk else `Fuzz in
+      let budget_s = if quick then min budget 30.0 else budget in
+      let st =
+        F.campaign ~mode ~quick ~budget_s ?max_execs:execs ?max_n
+          ?corpus_dir:corpus ~seed ()
+      in
+      Printf.printf
+        "%s: %d executions in %.1fs (%.0f/s)\ncorpus: %d entries%s\n\
+         coverage: %d fingerprints, %d coarse shapes, %d probe buckets\n"
+        (match mode with `Fuzz -> "fuzz" | `Random_walk -> "random walk")
+        st.F.s_execs st.F.s_elapsed
+        (float_of_int st.F.s_execs /. Float.max 1e-9 st.F.s_elapsed)
+        st.F.s_corpus
+        (match corpus with Some d -> Printf.sprintf " (saved in %s)" d | None -> "")
+        st.F.s_fine st.F.s_coarse st.F.s_buckets;
+      match st.F.s_trophies with
+      | [] -> print_endline "no violations found"
+      | ts ->
+          Printf.printf "%d TROPHIES (shrunk; reproduce with mdst_sim replay):\n"
+            (List.length ts);
+          List.iter
+            (fun (t : F.trophy) ->
+              Printf.printf "  %s: %s\n    %s\n"
+                (Mdst_check.Replay.kind_to_string t.F.t_kind)
+                t.F.t_detail
+                (Mdst_check.Scenario.to_string t.F.t_entry))
+            ts;
+          exit 1
+    end
   in
   let term =
     Term.(
       const action $ quick_arg $ budget_arg $ execs_arg $ fuzz_seed_arg $ max_n_arg
-      $ corpus_arg $ replay_arg $ random_arg $ bench_arg $ seeds_arg $ out_arg)
+      $ corpus_arg $ random_arg $ bench_arg $ seeds_arg $ out_arg)
   in
   Cmd.v
     (Cmd.info "fuzz"
@@ -846,4 +841,5 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [ run_cmd; solve_cmd; compare_cmd; props_cmd; experiments_cmd; bench_cmd; pardet_cmd; pbt_cmd; explore_cmd; fuzz_cmd; mutate_cmd; families_cmd ]))
+          [ run_cmd; solve_cmd; compare_cmd; props_cmd; experiments_cmd; bench_cmd; pardet_cmd; pbt_cmd;
+            replay_cmd; explore_cmd; fuzz_cmd; mutate_cmd; families_cmd ]))

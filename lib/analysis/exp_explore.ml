@@ -20,8 +20,7 @@ let instances quick =
   let base = [ ("K3", Graph.complete 3); ("path4", path 4); ("cycle4", cycle 4) ] in
   if quick then base else base @ [ ("K4", Graph.complete 4); ("cycle5", cycle 5) ]
 
-let variants : (string * (module Explore.S)) list =
-  [ ("default", (module Explore.Default)); ("suppressed", (module Explore.Suppressed)) ]
+let variants = [ ("default", `Default); ("suppressed", `Suppressed) ]
 
 let run ?(quick = false) () =
   let max_depth = if quick then 6 else 8 in
@@ -37,10 +36,10 @@ let run ?(quick = false) () =
   List.iter
     (fun (gname, graph) ->
       List.iter
-        (fun (vname, (module X : Explore.S)) ->
+        (fun (vname, variant) ->
           List.iter
             (fun (iname, init) ->
-              let stats, vio = X.dfs ~max_depth ~max_configs ~init graph in
+              let stats, vio = Explore.dfs ~max_depth ~max_configs ~variant ~init graph in
               Table.add_row dfs_table
                 [
                   gname;
@@ -57,7 +56,7 @@ let run ?(quick = false) () =
           let steps = if quick then 200 else 600 in
           let events = ref 0 and divergences = ref 0 in
           for i = 0 to walks - 1 do
-            match X.walk ~steps ~seed:(100 + i) ~init:`Random graph with
+            match Explore.walk ~steps ~variant ~seed:(100 + i) ~init:`Random graph with
             | Ok n -> events := !events + n
             | Error _ -> incr divergences
           done;
@@ -68,5 +67,6 @@ let run ?(quick = false) () =
   Table.add_note dfs_table
     "every explored transition checks real-vs-model conformance; closure: a legitimate, \
      quiescent, accurate configuration never steps to an illegitimate one";
-  Table.add_note walk_table "walks replay the engine's own schedule through the model in lockstep";
+  Table.add_note walk_table
+    "walks are lockstep scenarios replayed with a seeded random choice among eligible events";
   [ dfs_table; walk_table ]

@@ -1,332 +1,18 @@
-(* Lockstep conformance between the real automaton (under the engine) and
-   the pure reference model.  See conformance.mli for the statement. *)
+(* Lockstep conformance scenarios.  See conformance.mli. *)
 
-module Graph = Mdst_graph.Graph
-module Model = Mdst_model.Model
-module Node = Mdst_sim.Node
-module State = Mdst_core.State
-module Msg = Mdst_core.Msg
-module Projection = Mdst_core.Projection
 module Prng = Mdst_util.Prng
 
-type case = {
-  graph : Graph.t;
-  seed : int;
-  init : [ `Clean | `Random ];
-  events : int;
-}
-
-(* ---------------- reproducer format ---------------- *)
-
-let case_to_string c =
-  let n = Graph.n c.graph in
-  let ids = List.init n (Graph.id c.graph) in
-  let identity = List.for_all2 ( = ) ids (List.init n Fun.id) in
-  let edges =
-    Array.to_list (Graph.edges c.graph)
-    |> List.map (fun (u, v) -> Printf.sprintf "%d-%d" u v)
-    |> String.concat ","
-  in
-  String.concat ";"
-    ([ Printf.sprintf "n=%d" n ]
-    @ (if identity then []
-       else [ "ids=" ^ String.concat "," (List.map string_of_int ids) ])
-    @ [
-        "edges=" ^ edges;
-        Printf.sprintf "seed=%d" c.seed;
-        "init=" ^ (match c.init with `Clean -> "clean" | `Random -> "random");
-        Printf.sprintf "events=%d" c.events;
-      ])
-
-let fail fmt = Printf.ksprintf invalid_arg fmt
-
-let case_of_string s =
-  let n = ref None and ids = ref None and edges = ref None in
-  let seed = ref 0 and init = ref `Random and events = ref 100 in
-  List.iter
-    (fun part ->
-      let part = String.trim part in
-      if part = "" then ()
-      else
-        match String.index_opt part '=' with
-        | None -> fail "Conformance.case_of_string: bad component %S" part
-        | Some i -> (
-            let key = String.sub part 0 i in
-            let value = String.sub part (i + 1) (String.length part - i - 1) in
-            match key with
-            | "n" -> n := int_of_string_opt value
-            | "ids" ->
-                ids :=
-                  Some
-                    (String.split_on_char ',' value
-                    |> List.map (fun v ->
-                           match int_of_string_opt (String.trim v) with
-                           | Some x -> x
-                           | None -> fail "Conformance.case_of_string: bad id %S" v))
-            | "seed" -> (
-                match int_of_string_opt value with
-                | Some v -> seed := v
-                | None -> fail "Conformance.case_of_string: bad seed %S" value)
-            | "init" -> (
-                match value with
-                | "clean" -> init := `Clean
-                | "random" -> init := `Random
-                | _ -> fail "Conformance.case_of_string: bad init %S" value)
-            | "events" -> (
-                match int_of_string_opt value with
-                | Some v when v >= 0 -> events := v
-                | _ -> fail "Conformance.case_of_string: bad events %S" value)
-            | "edges" ->
-                edges :=
-                  Some
-                    (String.split_on_char ',' value
-                    |> List.filter (fun e -> String.trim e <> "")
-                    |> List.map (fun e ->
-                           match String.split_on_char '-' (String.trim e) with
-                           | [ u; v ] -> (int_of_string u, int_of_string v)
-                           | _ -> fail "Conformance.case_of_string: bad edge %S" e))
-            | _ -> fail "Conformance.case_of_string: unknown key %S" key))
-    (String.split_on_char ';' s);
-  match (!n, !edges) with
-  | Some n, Some edges ->
-      let ids = Option.map Array.of_list !ids in
-      {
-        graph = Graph.of_edges ?ids ~n edges;
-        seed = !seed;
-        init = !init;
-        events = !events;
-      }
-  | _ -> fail "Conformance.case_of_string: missing n= or edges="
-
-(* ---------------- generation and shrinking ---------------- *)
-
-let gen_case ?min_n ?max_n ?(max_events = 400) () rng =
+let gen_case ?min_n ?max_n ?(max_events = 400) variant rng =
   let graph = Gen.connected_graph ?min_n ?max_n () (Prng.split rng) in
   let seed = Prng.int rng 1_000_000 in
   let init = if Gen.bool (Prng.split rng) then `Random else `Clean in
   let events = 1 + Prng.int rng max_events in
-  { graph; seed; init; events }
+  { Scenario.variant; init; graph; seed; oracle = Scenario.Lockstep; schedule = Scenario.Natural events }
 
-let shrink_case c =
-  (* Fewer events first: re-running a prefix is sound because the engine's
-     schedule for a given (graph, seed, init) is a fixed sequence.  Then
-     shrink the graph (a different graph is a different schedule, but any
-     diverging case is a valid counterexample). *)
-  let events =
-    Seq.filter_map
-      (fun e -> if e >= 1 && e < c.events then Some { c with events = e } else None)
-      (Shrink.int ~towards:1 c.events)
-  in
-  let graphs = Seq.map (fun g -> { c with graph = g }) (Shrink.graph c.graph) in
-  Seq.append events graphs
-
-(* ---------------- the lockstep driver ---------------- *)
-
-type divergence = { index : int; event : string; detail : string }
-
-type report = { events_run : int; divergence : divergence option }
-
-module type S = sig
-  val run_case : case -> report
-
-  val prop : case Property.prop
-
-  val property :
-    ?min_n:int -> ?max_n:int -> ?max_events:int -> unit -> case Property.t
-end
-
-(* Wrap an automaton so the engine's execution leaks which event each step
-   ran.  The buffer is per functor application: drivers drain it after
-   every single [Engine.step], so one record is pending at a time. *)
-module Tap (A : Mdst_sim.Node.AUTOMATON) = struct
-  include A
-
-  type record =
-    | Rec_tick of int
-    | Rec_deliver of { src : int; dst : int; msg : A.msg }
-
-  let buffer : record list ref = ref []
-
-  let drain () =
-    let r = List.rev !buffer in
-    buffer := [];
-    r
-
-  let on_tick ctx st =
-    buffer := Rec_tick ctx.Node.node :: !buffer;
-    A.on_tick ctx st
-
-  let on_message ctx st ~src msg =
-    buffer := Rec_deliver { src; dst = ctx.Node.node; msg } :: !buffer;
-    A.on_message ctx st ~src msg
-end
-
-let render_diff diffs =
-  diffs
-  |> List.map (fun (v, field) -> Printf.sprintf "node %d: %s" v field)
-  |> String.concat "; "
-
-let first_state_mismatch (real : State.t array) (model : State.t array) =
-  let rec go v =
-    if v >= Array.length real then -1
-    else if real.(v) <> model.(v) then v
-    else go (v + 1)
-  in
-  go 0
-
-module Make (A : Mdst_sim.Node.AUTOMATON
-               with type state = Mdst_core.State.t
-                and type msg = Mdst_core.Msg.t) (P : sig
-  val params : Model.params
-end) =
-struct
-  module T = Tap (A)
-  module E = Mdst_sim.Engine.Make (T)
-
-  let msg_str m = Format.asprintf "%a" Msg.pp m
-
-  let run_case case =
-    let init = match case.init with `Clean -> `Clean | `Random -> `Random in
-    let engine = E.create ~seed:case.seed ~init case.graph in
-    ignore (T.drain ());
-    (* The model starts from the engine's post-init truth: same states, same
-       queued messages (random-init corruption included). *)
-    let model =
-      ref
-        (Model.make ~params:P.params ~states:(E.states engine)
-           ~in_flight:(E.in_flight engine) case.graph)
-    in
-    let divergence = ref None in
-    let diverged d = divergence := Some d in
-    let i = ref 0 in
-    while !i < case.events && !divergence = None do
-      incr i;
-      ignore (E.step engine);
-      match T.drain () with
-      | [] ->
-          (* A step that ran no handler (cannot happen: ticks stay armed and
-             fault plans are never installed here). *)
-          diverged
-            { index = !i; event = "?"; detail = "engine step ran no handler" }
-      | _ :: _ :: _ ->
-          diverged
-            { index = !i; event = "?"; detail = "engine step ran several handlers" }
-      | [ r ] -> (
-          let event =
-            match r with
-            | T.Rec_tick node -> Model.Tick node
-            | T.Rec_deliver { src; dst; _ } -> Model.Deliver { src; dst }
-          in
-          let ev_str = Model.event_to_string event in
-          let head_ok =
-            match r with
-            | T.Rec_tick _ -> true
-            | T.Rec_deliver { src; dst; msg } -> (
-                match Model.peek !model ~src ~dst with
-                | Some m when m = msg -> true
-                | head ->
-                    diverged
-                      {
-                        index = !i;
-                        event = ev_str;
-                        detail =
-                          Printf.sprintf
-                            "channel-head mismatch on %d->%d: engine delivered %s, model head %s"
-                            src dst (msg_str msg)
-                            (match head with
-                            | None -> "(empty)"
-                            | Some m -> msg_str m);
-                      };
-                    false)
-          in
-          if head_ok then begin
-            model := Model.step !model event;
-            let real = E.states engine in
-            let real_proj = Projection.of_states real in
-            let model_proj = Projection.of_states !model.Model.nodes in
-            if not (Projection.equal real_proj model_proj) then
-              diverged
-                {
-                  index = !i;
-                  event = ev_str;
-                  detail =
-                    "projection: " ^ render_diff (Projection.diff real_proj model_proj);
-                }
-            else
-              let v = first_state_mismatch real !model.Model.nodes in
-              if v >= 0 then
-                diverged
-                  {
-                    index = !i;
-                    event = ev_str;
-                    detail =
-                      Printf.sprintf
-                        "internal divergence: node %d state differs (projection equal)"
-                        v;
-                  }
-          end)
-    done;
-    (* Final in-flight comparison: group the engine's queue per ordered
-       channel (its arrival-time order is per-channel FIFO order) and
-       compare against the model's channels. *)
-    (match !divergence with
-    | Some _ -> ()
-    | None ->
-        let n = Graph.n case.graph in
-        let chans = Array.make (n * n) [] in
-        List.iter
-          (fun (src, dst, msg) ->
-            let k = (src * n) + dst in
-            chans.(k) <- msg :: chans.(k))
-          (E.in_flight engine);
-        Array.iteri (fun k l -> chans.(k) <- List.rev l) chans;
-        let bad = ref (-1) in
-        Array.iteri
-          (fun k l ->
-            if !bad < 0 && l <> (!model).Model.channels.(k) then bad := k)
-          chans;
-        if !bad >= 0 then
-          let src = !bad / n and dst = !bad mod n in
-          let show l =
-            "[" ^ String.concat ", " (List.map msg_str l) ^ "]"
-          in
-          diverged
-            {
-              index = !i;
-              event = "(end)";
-              detail =
-                Printf.sprintf "in-flight mismatch on %d->%d: engine %s, model %s"
-                  src dst
-                  (show chans.(!bad))
-                  (show (!model).Model.channels.(!bad));
-            });
-    { events_run = !i; divergence = !divergence }
-
-  let prop case =
-    let r = run_case case in
-    match r.divergence with
-    | None -> Ok ()
-    | Some d ->
-        Error
-          (Printf.sprintf "model divergence at event %d/%d (%s): %s" d.index
-             r.events_run d.event d.detail)
-
-  (* [A.name] is shared across config variants; tag the property with the
-     one model parameter the variants differ in. *)
-  let variant =
-    if P.params.Model.info_suppression then "suppressed" else "default"
-
-  let property ?min_n ?max_n ?max_events () =
-    Property.make
-      ~name:("model-conformance:" ^ A.name ^ ":" ^ variant)
-      ~gen:(gen_case ?min_n ?max_n ?max_events ())
-      ~shrink:shrink_case ~print:case_to_string prop
-end
-
-module Default = Make (Mdst_core.Proto.Default) (struct
-  let params = Model.default
-end)
-
-module Suppressed = Make (Mdst_core.Proto.Suppressed) (struct
-  let params = Model.suppressed
-end)
+let property ?min_n ?max_n ?max_events variant =
+  let (module A : Scenario.PROTO) = Scenario.automaton variant in
+  Property.make
+    ~name:(Printf.sprintf "model-conformance:%s:%s" A.name (Scenario.variant_name variant))
+    ~gen:(gen_case ?min_n ?max_n ?max_events variant)
+    ~shrink:Shrink.scenario ~print:Scenario.to_string
+    (fun s -> Replay.prop s)

@@ -1,75 +1,18 @@
-(** Reference-model conformance: the real automaton and {!Mdst_model.Model}
-    driven in lockstep on the same engine-produced event sequence.
+(** Reference-model conformance as a property: the real automaton under
+    the engine's own schedule, the pure {!Mdst_model.Model} stepped in
+    lockstep on exactly the events the engine ran ({!Scenario.Lockstep},
+    judged by {!Replay}).
 
-    The engine runs the real protocol as usual (arrival-time order, FIFO
-    floors, random tick phases); a tap around the automaton records which
-    event each step executed, and the model replays exactly that event on
-    its idealized configuration.  After every event the driver compares
+    Clean builds show zero divergences on every fixture and generated
+    case; the mutation suite ({!Mutants}) relies on reintroduced
+    historical bugs surfacing here. *)
 
-    - the delivered message against the model's channel head (FIFO
-      conformance),
-    - the {!Mdst_core.Projection} of all node states (observable
-      conformance),
-    - the full [State.t] arrays (internal conformance — a divergence here
-      with equal projections means a non-observable field drifted),
+val gen_case :
+  ?min_n:int -> ?max_n:int -> ?max_events:int -> Scenario.variant -> Scenario.t Gen.t
+(** A connected graph, an engine seed, a clean or random init and
+    [1 .. max_events] (default 400) events of the engine's own order. *)
 
-    and at the end of the sequence the complete in-flight channel contents.
-    Any mismatch is a {e divergence}; the property shrinks a diverging case
-    to a one-line reproducer like the convergence harness does.
-
-    Clean builds must show zero divergences on every fixture and generated
-    case; the mutation suite ({!Mutants}) relies on reintroduced historical
-    bugs surfacing here. *)
-
-module Graph = Mdst_graph.Graph
-module Model = Mdst_model.Model
-
-type case = {
-  graph : Graph.t;
-  seed : int;
-  init : [ `Clean | `Random ];
-  events : int;  (** how many engine events to execute and replay *)
-}
-
-val case_to_string : case -> string
-(** One-line reproducer, e.g.
-    ["n=4;edges=0-1,0-2,1-3,2-3;seed=7;init=random;events=120"]. *)
-
-val case_of_string : string -> case
-(** @raise Invalid_argument on malformed input. *)
-
-val gen_case : ?min_n:int -> ?max_n:int -> ?max_events:int -> unit -> case Gen.t
-
-val shrink_case : case Shrink.t
-(** Event-count bisection first (cheap), then graph shrinking. *)
-
-type divergence = {
-  index : int;  (** 1-based event index at which the divergence appeared *)
-  event : string;  (** the event, in {!Mdst_model.Model.event_to_string} form *)
-  detail : string;  (** what differed, field by field *)
-}
-
-type report = { events_run : int; divergence : divergence option }
-
-(** What one automaton/model pairing exposes. *)
-module type S = sig
-  val run_case : case -> report
-
-  val prop : case Property.prop
-
-  val property :
-    ?min_n:int -> ?max_n:int -> ?max_events:int -> unit -> case Property.t
-end
-
-module Make (A : Mdst_sim.Node.AUTOMATON
-               with type state = Mdst_core.State.t
-                and type msg = Mdst_core.Msg.t) (_ : sig
-  val params : Model.params
-end) : S
-
-module Default : S
-(** [Proto.Default] against [Model.default]. *)
-
-module Suppressed : S
-(** [Proto.Suppressed] against [Model.suppressed] — exercises the Info
-    dirty-bit suppression and refresh-cadence rules. *)
+val property :
+  ?min_n:int -> ?max_n:int -> ?max_events:int -> Scenario.variant -> Scenario.t Property.t
+(** Named [model-conformance:<automaton>:<variant>]; shrinks with
+    {!Shrink.scenario}. *)

@@ -1,230 +1,23 @@
-(* The paper's self-stabilization claim as a property over (graph, fault
-   plan, seed) cases.  See convergence.mli for the statement. *)
+(* Convergence-under-adversity scenarios.  See convergence.mli. *)
 
-module Graph = Mdst_graph.Graph
-module Tree = Mdst_graph.Tree
-module Fault = Mdst_sim.Fault
-module Run = Mdst_core.Run
-module Checker = Mdst_core.Checker
-module Fr = Mdst_baseline.Fr
+module Prng = Mdst_util.Prng
 
-type case = { graph : Graph.t; plan : Fault.plan; seed : int }
+let gen_case ?min_n ?max_n ?max_events ?horizon variant rng =
+  let graph = Gen.connected_graph ?min_n ?max_n () (Prng.split rng) in
+  let plan = Gen.fault_plan ~graph ?max_events ?horizon () (Prng.split rng) in
+  {
+    Scenario.variant;
+    init = `Random;
+    graph;
+    seed = Prng.int rng 1_000_000;
+    oracle = Scenario.Converge plan;
+    schedule = Scenario.Natural 0;
+  }
 
-(* ---------------- reproducer format ---------------- *)
-
-let case_to_string c =
-  let n = Graph.n c.graph in
-  let ids = List.init n (Graph.id c.graph) in
-  let identity = List.for_all2 ( = ) ids (List.init n Fun.id) in
-  let edges =
-    Array.to_list (Graph.edges c.graph)
-    |> List.map (fun (u, v) -> Printf.sprintf "%d-%d" u v)
-    |> String.concat ","
-  in
-  String.concat ";"
-    ([ Printf.sprintf "n=%d" n ]
-    @ (if identity then []
-       else [ "ids=" ^ String.concat "," (List.map string_of_int ids) ])
-    @ [
-        "edges=" ^ edges;
-        Printf.sprintf "seed=%d" c.seed;
-        "plan=" ^ Fault.to_string c.plan;
-      ])
-
-let fail fmt = Printf.ksprintf invalid_arg fmt
-
-let case_of_string s =
-  let n = ref None and ids = ref None and edges = ref None in
-  let seed = ref 0 and plan = ref Fault.empty in
-  List.iter
-    (fun part ->
-      let part = String.trim part in
-      if part = "" then ()
-      else
-        match String.index_opt part '=' with
-        | None -> fail "Convergence.case_of_string: bad component %S" part
-        | Some i -> (
-            let key = String.sub part 0 i in
-            let value = String.sub part (i + 1) (String.length part - i - 1) in
-            match key with
-            | "n" -> n := int_of_string_opt value
-            | "ids" ->
-                ids :=
-                  Some
-                    (String.split_on_char ',' value
-                    |> List.map (fun v ->
-                           match int_of_string_opt (String.trim v) with
-                           | Some x -> x
-                           | None -> fail "Convergence.case_of_string: bad id %S" v))
-            | "seed" -> (
-                match int_of_string_opt value with
-                | Some v -> seed := v
-                | None -> fail "Convergence.case_of_string: bad seed %S" value)
-            | "plan" -> plan := Fault.of_string value
-            | "edges" ->
-                edges :=
-                  Some
-                    (String.split_on_char ',' value
-                    |> List.filter (fun e -> String.trim e <> "")
-                    |> List.map (fun e ->
-                           match String.split_on_char '-' (String.trim e) with
-                           | [ u; v ] -> (int_of_string u, int_of_string v)
-                           | _ -> fail "Convergence.case_of_string: bad edge %S" e))
-            | _ -> fail "Convergence.case_of_string: unknown key %S" key))
-    (String.split_on_char ';' s);
-  match (!n, !edges) with
-  | Some n, Some edges ->
-      let ids = Option.map Array.of_list !ids in
-      { graph = Graph.of_edges ?ids ~n edges; plan = !plan; seed = !seed }
-  | _ -> fail "Convergence.case_of_string: missing n= or edges="
-
-(* ---------------- generation and shrinking ---------------- *)
-
-let gen_case ?min_n ?max_n ?max_events ?horizon () rng =
-  let graph = Gen.connected_graph ?min_n ?max_n () (Mdst_util.Prng.split rng) in
-  let plan = Gen.fault_plan ~graph ?max_events ?horizon () (Mdst_util.Prng.split rng) in
-  { graph; plan; seed = Mdst_util.Prng.int rng 1_000_000 }
-
-let shrink_case c =
-  (* Vertex deletions shrink graph and plan together; plan deletions are
-     sound in isolation because per-event PRNG streams are independent. *)
-  let vertices =
-    Seq.filter_map
-      (fun v ->
-        match Shrink.remove_vertex c.graph v with
-        | Some g ->
-            Some { c with graph = g; plan = Shrink.remap_plan_without_vertex ~removed:v c.plan }
-        | None -> None)
-      (Seq.init (Graph.n c.graph) Fun.id)
-  in
-  let plans = Seq.map (fun plan -> { c with plan }) (Shrink.plan c.plan) in
-  let edges =
-    let bridges = Mdst_graph.Algo.bridges c.graph in
-    Array.to_seq (Graph.edges c.graph)
-    |> Seq.filter (fun e -> not (List.mem e bridges))
-    |> Seq.map (fun (u, v) ->
-           let ids = Array.init (Graph.n c.graph) (Graph.id c.graph) in
-           let kept =
-             Graph.fold_edges c.graph ~init:[] ~f:(fun acc a b ->
-                 if (a = u && b = v) || (a = v && b = u) then acc else (a, b) :: acc)
-           in
-           { c with graph = Graph.of_edges ~ids ~n:(Graph.n c.graph) kept })
-  in
-  Seq.append vertices (Seq.append plans edges)
-
-(* ---------------- running one case ---------------- *)
-
-type budget = { settle_rounds : int; per_node_rounds : int; closure_rounds : int }
-
-let default_budget = { settle_rounds = 4000; per_node_rounds = 250; closure_rounds = 80 }
-
-type report = {
-  converged : bool;
-  rounds : int;
-  last_fault_round : int;
-  degree : int option;
-  fr_degree : int;
-  closure_ok : bool;
-  stats : Fault.stats;
-}
-
-module Harness (A : Mdst_sim.Node.AUTOMATON
-                  with type state = Mdst_core.State.t
-                   and type msg = Mdst_core.Msg.t) =
-struct
-  module R = Run.Runner (A)
-
-  let fixpoint tree = not (Fr.improvable tree)
-
-  let run_case ?(budget = default_budget) case =
-    let engine = R.make_engine ~seed:case.seed ~init:`Random case.graph in
-    R.Engine.install_faults engine ~remap:Mdst_core.Transplant.states case.plan;
-    let last_fault_round = Fault.last_fault_round case.plan in
-    let max_rounds =
-      last_fault_round + budget.settle_rounds
-      + (budget.per_node_rounds * Graph.n case.graph)
-    in
-    (* Convergence only counts after the adversary is done: the stop
-       predicate is evaluated first so its fingerprint tracker never misses
-       a sample, then gated strictly past the last fault round.  The
-       [faults_pending] guard closes a race: a cut scheduled at round r
-       fires when the engine processes an event at or past r, which can be
-       after a stop check already ran at round r — victory declared then
-       would push the fault into the closure window. *)
-    let base_stop = R.make_stop ~fixpoint () in
-    (* Mutant "stop-check-race" removes the [faults_pending] conjunct,
-       reopening the race this guard closes. *)
-    let stop e =
-      let held = base_stop e in
-      held
-      && R.Engine.rounds e > last_fault_round
-      && (Mdst_util.Mutation.enabled "stop-check-race" || not (R.Engine.faults_pending e))
-    in
-    let outcome = R.Engine.run engine ~max_rounds ~check_every:2 ~stop () in
-    let final_graph = R.Engine.graph engine in
-    let degree = Checker.tree_degree_now final_graph (R.Engine.states engine) in
-    let fr_degree = Tree.max_degree (Fr.approx_mdst final_graph) in
-    let closure_ok =
-      if not outcome.converged then true
-      else begin
-        (* Closure: nothing fingerprinted may move once legitimate —
-           self-stabilizing protocols keep gossiping and searching, but no
-           swap may commit any more. *)
-        let fp = Checker.fingerprint (R.Engine.states engine) in
-        let _ =
-          R.Engine.run engine
-            ~max_rounds:(R.Engine.rounds engine + budget.closure_rounds)
-            ~check_every:4
-            ~stop:(fun _ -> false)
-            ()
-        in
-        Checker.fingerprint (R.Engine.states engine) = fp
-        && Checker.legitimate final_graph (R.Engine.states engine)
-      end
-    in
-    {
-      converged = outcome.converged;
-      rounds = outcome.rounds;
-      last_fault_round;
-      degree;
-      fr_degree;
-      closure_ok;
-      stats = R.Engine.fault_stats engine;
-    }
-
-  let prop ?budget () case =
-    let r = run_case ?budget case in
-    if not r.converged then
-      Error
-        (Printf.sprintf
-           "no convergence: still illegitimate or improvable %d rounds after the last fault \
-            (round %d; faults applied: %s)"
-           (r.rounds - r.last_fault_round) r.last_fault_round
-           (Format.asprintf "%a" Fault.pp_stats r.stats))
-    else
-      match r.degree with
-      | Some d when d > r.fr_degree + 1 ->
-          Error
-            (Printf.sprintf "degree bound violated: deg(T) = %d > deg_FR + 1 = %d" d
-               (r.fr_degree + 1))
-      | _ when not r.closure_ok ->
-          Error "closure violated: fingerprint or legitimacy changed after convergence"
-      | _ -> Ok ()
-
-  let property ?budget ?min_n ?max_n ?max_events ?horizon () =
-    Property.make
-      ~name:("convergence-under-adversity:" ^ A.name)
-      ~gen:(gen_case ?min_n ?max_n ?max_events ?horizon ())
-      ~shrink:shrink_case ~print:case_to_string
-      (prop ?budget ())
-end
-
-module Default = Harness (Mdst_core.Proto.Default)
-
-module Suppressed = Harness (Mdst_core.Proto.Suppressed)
-
-module Broken_automaton = Lossy.Make (Mdst_core.Proto.Default) (struct
-  let drop_labels = [ "grant" ]
-end)
-
-module Broken = Harness (Broken_automaton)
+let property ?budget ?min_n ?max_n ?max_events ?horizon variant =
+  let (module A : Scenario.PROTO) = Scenario.automaton variant in
+  Property.make
+    ~name:("convergence-under-adversity:" ^ A.name)
+    ~gen:(gen_case ?min_n ?max_n ?max_events ?horizon variant)
+    ~shrink:Shrink.scenario ~print:Scenario.to_string
+    (Replay.prop ?budget)

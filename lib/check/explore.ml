@@ -9,14 +9,12 @@
    conformance violation with the full event path as reproducer. *)
 
 module Graph = Mdst_graph.Graph
-module Tree = Mdst_graph.Tree
 module Model = Mdst_model.Model
 module Node = Mdst_sim.Node
 module State = Mdst_core.State
 module Msg = Mdst_core.Msg
 module Checker = Mdst_core.Checker
 module Projection = Mdst_core.Projection
-module Fr = Mdst_baseline.Fr
 module Prng = Mdst_util.Prng
 
 type init = [ `Clean | `Random of int | `Legitimate ]
@@ -30,194 +28,21 @@ type stats = {
 
 type kind = Conformance_divergence | Closure_violation
 
-type violation = { kind : kind; path : string; detail : string }
+type violation = { kind : kind; path : string; detail : string; scenario : Scenario.t option }
 
 let pp_violation ppf v =
   Format.fprintf ppf "%s after [%s]: %s"
     (match v.kind with
     | Conformance_divergence -> "conformance divergence"
     | Closure_violation -> "closure violation")
-    v.path v.detail
-
-module type S = sig
-  val dfs :
-    ?max_depth:int ->
-    ?max_configs:int ->
-    init:init ->
-    Graph.t ->
-    stats * violation option
-
-  val walk :
-    ?steps:int ->
-    seed:int ->
-    init:[ `Clean | `Random ] ->
-    Graph.t ->
-    (int, string) result
-end
-
-(* ---------------- shared premise machinery ---------------- *)
-
-let current_info ctxs states v =
-  let st = states.(v) in
-  {
-    Msg.i_root = st.State.root;
-    i_parent = st.State.parent;
-    i_dist = st.State.dist;
-    i_deg = State.tree_degree ctxs.(v) st;
-    i_dmax = st.State.dmax;
-    i_color = st.State.color;
-    i_subtree_max = st.State.subtree_max;
-  }
-
-let views_accurate ctxs states =
-  let ok = ref true in
-  Array.iteri
-    (fun v st ->
-      Array.iteri
-        (fun s w ->
-          let vw = State.Views.get st.State.views s in
-          let stw = states.(w) in
-          if
-            not
-              (vw.State.w_fresh && vw.State.w_root = stw.State.root
-              && vw.State.w_parent = stw.State.parent
-              && vw.State.w_dist = stw.State.dist
-              && vw.State.w_deg = State.tree_degree ctxs.(w) stw
-              && vw.State.w_dmax = stw.State.dmax
-              && vw.State.w_color = stw.State.color
-              && vw.State.w_subtree_max = stw.State.subtree_max)
-          then ok := false)
-        ctxs.(v).Node.neighbors)
-    states;
-  !ok
-
-(* A message is premise-compatible when delivering it (now or later) cannot
-   feed a node data that disagrees with the network's current truth:
-   an Info that is exactly the sender's current public variables, a Search
-   whose every stack entry matches its node's current degree and distance,
-   or a Deblock (a pure request to search).  Everything else — mid-swap
-   traffic, distance repair, stale gossip — falsifies the premise. *)
-let message_ok ctxs graph states src msg =
-  match msg with
-  | Msg.Info i -> i = current_info ctxs states src
-  | Msg.Search { s_stack; _ } ->
-      List.for_all
-        (fun e ->
-          match Graph.index_of_id graph e.Msg.e_id with
-          | exception Not_found -> false
-          | w ->
-              e.Msg.e_deg = State.tree_degree ctxs.(w) states.(w)
-              && e.Msg.e_dist = states.(w).State.dist)
-        s_stack
-  | Msg.Deblock _ -> true
-  | Msg.Swap_req _ | Msg.Remove _ | Msg.Grant _ | Msg.Reverse _
-  | Msg.Update_dist _ ->
-      false
-
-(* The legitimacy-closure premise: from here, every enabled event must lead
-   to a legitimate configuration.  [not (Fr.improvable tree)] is the paper's
-   fixpoint condition — while an improvement exists the protocol rightly
-   commits a swap, transiting through configurations whose dmax bookkeeping
-   lags the tree. *)
-let premise_with ctxs graph nodes channels =
-  Checker.legitimate graph nodes
-  && Array.for_all (fun st -> st.State.pending = None) nodes
-  && views_accurate ctxs nodes
-  && (let ok = ref true in
-      let n = Graph.n graph in
-      Array.iteri
-        (fun k l ->
-          let src = k / n in
-          List.iter
-            (fun m -> if not (message_ok ctxs graph nodes src m) then ok := false)
-            l)
-        channels;
-      !ok)
-  &&
-  match Checker.tree_of_states graph nodes with
-  | None -> false
-  | Some tree -> not (Fr.improvable tree)
-
-(* ---------------- initial configurations ---------------- *)
-
-let legitimate_with ctxs graph =
-  let tree = Fr.approx_mdst ~root:(Graph.min_id_node graph) graph in
-  let dmax = Tree.max_degree tree in
-  let root = Tree.root tree in
-  let root_id = Graph.id graph root in
-  let n = Graph.n graph in
-  let stm = Array.make n 0 in
-  let rec fill v =
-    let m = ref (Tree.degree tree v) in
-    List.iter
-      (fun c ->
-        fill c;
-        if stm.(c) > !m then m := stm.(c))
-      (Tree.children tree v);
-    stm.(v) <- !m
-  in
-  fill root;
-  let parent_id v = Graph.id graph (if v = root then v else Tree.parent tree v) in
-  Array.init n (fun v ->
-      let views =
-        State.views_of_array ctxs.(v)
-        @@ Array.map
-          (fun w ->
-            {
-              State.w_root = root_id;
-              w_parent = parent_id w;
-              w_dist = Tree.depth tree w;
-              w_deg = Tree.degree tree w;
-              w_dmax = dmax;
-              w_color = false;
-              w_subtree_max = stm.(w);
-              w_fresh = true;
-            })
-          ctxs.(v).Node.neighbors
-      in
-      {
-        State.root = root_id;
-        parent = parent_id v;
-        dist = Tree.depth tree v;
-        dmax;
-        color = false;
-        subtree_max = stm.(v);
-        views;
-        pending = None;
-        deblock = None;
-        search_cursor = 0;
-        last_info = None;
-        info_age = 0;
-      })
-
-(* Handler-independent contexts: the premise and the legitimate builder
-   only read the topology fields (neighbors / ids / n), so a no-op-send
-   context array lets external harnesses (the fuzzer) call them against a
-   bare graph.  The exported graph-only wrappers below build one per call —
-   O(n·δ) array setup, noise next to the checks themselves. *)
-let dummy_ctxs graph =
-  let n = Graph.n graph in
-  Array.init n (fun v ->
-      let nbrs = Array.copy (Graph.neighbors graph v) in
-      Node.make_ctx ~node:v ~id:(Graph.id graph v) ~n ~neighbors:nbrs
-        ~neighbor_ids:(Array.map (Graph.id graph) nbrs)
-        ~send:(fun _ _ -> ())
-        ())
-
-let legitimate_states graph = legitimate_with (dummy_ctxs graph) graph
-
-let premise graph nodes channels = premise_with (dummy_ctxs graph) graph nodes channels
+    v.path v.detail;
+  Option.iter
+    (fun s -> Format.fprintf ppf "@\n  reproduce: mdst_sim replay '%s'" (Scenario.to_string s))
+    v.scenario
 
 (* ---------------- the explorer ---------------- *)
 
-module Make (A : Mdst_sim.Node.AUTOMATON
-               with type state = Mdst_core.State.t
-                and type msg = Mdst_core.Msg.t) (P : sig
-  val params : Model.params
-end) =
-struct
-  module E = Mdst_sim.Engine.Make (A)
-
+module Search (A : Scenario.PROTO) = struct
   let make_ctxs graph outbox =
     let n = Graph.n graph in
     Array.init n (fun v ->
@@ -227,12 +52,12 @@ struct
           ~send:(fun dst msg -> outbox := (v, dst, msg) :: !outbox)
           ())
 
-  let initial ctxs ~init graph =
+  let initial ctxs ~params ~init graph =
     let n = Graph.n graph in
     let nodes, channels =
       match init with
       | `Clean -> (Array.init n (fun v -> A.init ctxs.(v)), Array.make (n * n) [])
-      | `Legitimate -> (legitimate_with ctxs graph, Array.make (n * n) [])
+      | `Legitimate -> (Closure.legitimate_with ctxs graph, Array.make (n * n) [])
       | `Random seed ->
           let rng = Prng.create seed in
           let nodes = Array.init n (fun v -> A.random_state ctxs.(v) (Prng.split rng)) in
@@ -249,7 +74,7 @@ struct
           done;
           (nodes, channels)
     in
-    { Model.graph; params = P.params; nodes; channels }
+    { Model.graph; params; nodes; channels }
 
   (* The same event through the real handlers. *)
   let real_step ctxs outbox n (m : Model.config) ev =
@@ -295,11 +120,11 @@ struct
       m.Model.channels;
     List.rev !delivers @ List.init n (fun v -> Model.Tick v)
 
-  let dfs ?(max_depth = 10) ?(max_configs = 20_000) ~init graph =
+  let dfs ~max_depth ~max_configs ~params ~init graph =
     let n = Graph.n graph in
     let outbox = ref [] in
     let ctxs = make_ctxs graph outbox in
-    let m0 = initial ctxs ~init graph in
+    let m0 = initial ctxs ~params ~init graph in
     let visited : (int, (State.t array * Msg.t list array) list) Hashtbl.t =
       Hashtbl.create 1024
     in
@@ -338,7 +163,7 @@ struct
         if depth > !max_depth_reached then max_depth_reached := depth;
         if depth >= max_depth then truncated := true
         else
-          let prem = premise_with ctxs graph m.Model.nodes m.Model.channels in
+          let prem = Closure.premise ctxs graph m.Model.nodes m.Model.channels in
           List.iter
             (fun ev ->
               if !violation = None then begin
@@ -353,6 +178,7 @@ struct
                         kind = Conformance_divergence;
                         path = String.concat "," path';
                         detail = mismatch_detail n (rn, rc) m';
+                        scenario = None;
                       }
                 else if prem && not (Checker.legitimate graph m'.Model.nodes)
                 then
@@ -363,6 +189,7 @@ struct
                         path = String.concat "," path';
                         detail =
                           "legitimate configuration stepped to an illegitimate one";
+                        scenario = None;
                       }
                 else expand m' (depth + 1) (Model.event_to_string ev :: path)
               end)
@@ -378,76 +205,49 @@ struct
       },
       !violation )
 
-  (* ---------------- random lockstep walk ---------------- *)
-
-  let walk ?(steps = 500) ~seed ~init graph =
-    let n = Graph.n graph in
-    let init_e = match init with `Clean -> `Clean | `Random -> `Random in
-    let engine = E.create ~seed ~init:init_e graph in
-    let model =
-      ref
-        (Model.make ~params:P.params ~states:(E.states engine)
-           ~in_flight:(E.in_flight engine) graph)
-    in
-    let rng = Prng.create (seed lxor 0x9e3f) in
-    let err = ref None in
-    let i = ref 0 in
-    while !i < steps && !err = None do
-      incr i;
-      let chosen = ref None in
-      ignore
-        (E.step_with engine ~choose:(fun arr ->
-             let k = Prng.int rng (Array.length arr) in
-             chosen := Some arr.(k);
-             k));
-      (match !chosen with
-      | None -> err := Some (Printf.sprintf "step %d: engine ran no event" !i)
-      | Some (E.Choose_tick { node }) ->
-          model := Model.step !model (Model.Tick node)
-      | Some (E.Choose_deliver { src; dst; label }) -> (
-          match Model.peek !model ~src ~dst with
-          | Some m when Msg.label m = label ->
-              model := Model.step !model (Model.Deliver { src; dst })
-          | Some m ->
-              err :=
-                Some
-                  (Printf.sprintf
-                     "step %d: channel %d->%d head mismatch (engine %s, model %s)"
-                     !i src dst label (Msg.label m))
-          | None ->
-              err :=
-                Some
-                  (Printf.sprintf
-                     "step %d: engine delivered %s on %d->%d but model channel is empty"
-                     !i label src dst)));
-      if !err = None && E.states engine <> (!model).Model.nodes then
-        err := Some (Printf.sprintf "step %d: node states diverged" !i)
-    done;
-    (match !err with
-    | Some _ -> ()
-    | None ->
-        let chans = Array.make (n * n) [] in
-        List.iter
-          (fun (src, dst, msg) ->
-            let k = (src * n) + dst in
-            chans.(k) <- msg :: chans.(k))
-          (E.in_flight engine);
-        Array.iteri (fun k l -> chans.(k) <- List.rev l) chans;
-        Array.iteri
-          (fun k l ->
-            if !err = None && l <> (!model).Model.channels.(k) then
-              err :=
-                Some
-                  (Printf.sprintf "final in-flight mismatch on channel %d->%d"
-                     (k / n) (k mod n)))
-          chans);
-    match !err with None -> Ok !i | Some e -> Error e
 end
 
-module Default = Make (Mdst_core.Proto.Default) (struct
-  let params = Model.default
-end)
+let dfs ?(max_depth = 10) ?(max_configs = 20_000) ~variant ~init graph =
+  let module X = Search ((val Scenario.automaton variant)) in
+  let stats, vio = X.dfs ~max_depth ~max_configs ~params:(Scenario.params variant) ~init graph in
+  (* From a clean or legitimate start the engine holds the same
+     configuration the search began with, so the path replays strictly. *)
+  let scenario (v : violation) init =
+    let events = List.map Model.event_of_string (String.split_on_char ',' v.path) in
+    {
+      Scenario.variant;
+      init;
+      graph;
+      seed = 0;
+      oracle = Scenario.Lockstep;
+      schedule = Scenario.Events { events; steps = List.length events };
+    }
+  in
+  ( stats,
+    Option.map
+      (fun v ->
+        match init with
+        | (`Clean | `Legitimate) as i -> { v with scenario = Some (scenario v i) }
+        | `Random _ -> v)
+      vio )
 
-module Suppressed = Make (Mdst_core.Proto.Suppressed) (struct
-  let params = Model.suppressed
-end)
+(* ---------------- random lockstep walk ---------------- *)
+
+let walk ?(steps = 500) ~variant ~seed ~init graph =
+  let s =
+    {
+      Scenario.variant;
+      init = (init :> Scenario.init);
+      graph;
+      seed;
+      oracle = Scenario.Lockstep;
+      schedule = Scenario.Events { events = []; steps };
+    }
+  in
+  let v = Replay.replay ~adaptive:(Prng.create (seed lxor 0x9e3f)) s in
+  let ran = List.length v.Replay.executed in
+  match v.Replay.failure with
+  | None -> Ok ran
+  | Some f ->
+      let strict = { s with schedule = Scenario.Events { events = v.Replay.executed; steps = ran } } in
+      Error (Printf.sprintf "%s\n  reproduce: mdst_sim replay '%s'" f.Replay.detail (Scenario.to_string strict))

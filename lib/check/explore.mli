@@ -13,31 +13,25 @@
       reference model ({!Mdst_model.Model}), stepped from the same
       configuration by the same event, produce identical configurations;
     - {b closure}: from any configuration satisfying the legitimacy-closure
-      premise (legitimate tree, no pending swap, fresh and accurate
-      neighbour mirrors, in-flight messages that cannot carry stale data,
-      and no Fürer–Raghavachari improvement available — the protocol keeps
-      committing swaps while one exists, which legitimately changes the
-      tree), every successor is again legitimate.
+      premise ({!Closure.premise}), every successor is again legitimate.
 
     A violation reports the full event path from the initial configuration
-    — a one-line reproducer over {!Mdst_model.Model.event_to_string}
-    vocabulary.
+    and, from a clean or legitimate start, a {!Scenario} line that
+    {!Replay.replay} reproduces on the engine.
 
-    For graphs beyond exhaustive reach, {!S.walk} drives the engine's
-    {!Mdst_sim.Engine.Make.step_with} schedule-control hook with a seeded
-    random chooser, replaying each chosen event on the model in lockstep —
-    random deep walks where the DFS does bounded-depth exhaustion. *)
+    For graphs beyond exhaustive reach, {!walk} is a {!Scenario} replayed
+    with a seeded random chooser — random deep walks where the DFS does
+    bounded-depth exhaustion. *)
 
 module Graph = Mdst_graph.Graph
-module Model = Mdst_model.Model
 
 type init =
   [ `Clean  (** every node boots via the automaton's [init] *)
   | `Random of int  (** adversarial states + 0–2 junk messages per channel *)
   | `Legitimate
-    (** a legitimate configuration built from the Fürer–Raghavachari tree:
-        accurate fresh mirrors, empty channels — the closure premise's
-        natural starting point *) ]
+    (** a legitimate configuration built from the Fürer–Raghavachari tree
+        ({!Closure.legitimate_states}) — the closure premise's natural
+        starting point *) ]
 
 type stats = {
   configs : int;  (** distinct configurations expanded *)
@@ -52,51 +46,32 @@ type violation = {
   kind : kind;
   path : string;  (** comma-joined events from the init, e.g. ["t0,0>2,t1"] *)
   detail : string;
+  scenario : Scenario.t option;
+      (** the path as a strict scenario, from a [`Clean] or [`Legitimate]
+          start; the explorer's [`Random] configurations are not an
+          engine init, so they have none *)
 }
 
 val pp_violation : Format.formatter -> violation -> unit
 
-val legitimate_states : Graph.t -> Mdst_core.State.t array
-(** A legitimate configuration over the Fürer–Raghavachari tree of the
-    graph: accurate fresh mirrors, no pending swap or deblock service —
-    the [`Legitimate] init, exposed so other harnesses (the schedule
-    fuzzer) can seed executions from the closure premise's natural
-    starting point. *)
+val dfs :
+  ?max_depth:int ->
+  ?max_configs:int ->
+  variant:Scenario.variant ->
+  init:init ->
+  Graph.t ->
+  stats * violation option
+(** Defaults: [max_depth = 10], [max_configs = 20_000].  Exhaustive for
+    the given caps: no violation means {e no} reachable configuration
+    within them diverges or breaks closure. *)
 
-val premise : Graph.t -> Mdst_core.State.t array -> Mdst_core.Msg.t list array -> bool
-(** Does the legitimacy-closure premise hold for this configuration?
-    (Legitimate tree, no pending swap, accurate fresh mirrors, premise-
-    compatible in-flight messages, no Fürer–Raghavachari improvement
-    available.)  [channels] is indexed [(src * n) + dst], FIFO order. *)
-
-module type S = sig
-  val dfs :
-    ?max_depth:int ->
-    ?max_configs:int ->
-    init:init ->
-    Graph.t ->
-    stats * violation option
-  (** Defaults: [max_depth = 10], [max_configs = 20_000].  Exhaustive for
-      the given caps: no violation means {e no} reachable configuration
-      within them diverges or breaks closure. *)
-
-  val walk :
-    ?steps:int ->
-    seed:int ->
-    init:[ `Clean | `Random ] ->
-    Graph.t ->
-    (int, string) result
-  (** Random-schedule lockstep walk via the engine's [step_with]: [Ok
-      steps] or [Error detail] on the first divergence.  Default
-      [steps = 500]. *)
-end
-
-module Make (A : Mdst_sim.Node.AUTOMATON
-               with type state = Mdst_core.State.t
-                and type msg = Mdst_core.Msg.t) (_ : sig
-  val params : Model.params
-end) : S
-
-module Default : S
-
-module Suppressed : S
+val walk :
+  ?steps:int ->
+  variant:Scenario.variant ->
+  seed:int ->
+  init:[ `Clean | `Random ] ->
+  Graph.t ->
+  (int, string) result
+(** A random-schedule {!Scenario.Lockstep} replay: [Ok steps], or [Error
+    detail] on the first failure, with the executed schedule as a
+    strict scenario line.  Default [steps = 500]. *)

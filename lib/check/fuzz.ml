@@ -1,15 +1,14 @@
 (* Coverage-guided schedule fuzzing.  See fuzz.mli for the statement.
 
-   One execution = one swarm configuration + one delivery schedule,
-   replayed through the engine's [step_with] hook.  Three oracles share
-   the entry format:
+   One execution = one swarm scenario replayed adaptively by {!Replay}:
+   its event list is a preference order, the rest of the horizon random.
+   The scenario's oracle is the execution's mode:
 
    - lockstep: real automaton vs the pure reference model, event by
      event, plus the legitimacy-closure premise;
-   - adversity: fuzzed prefix under an installed fault plan, then run to
-     convergence under the same stop predicate, closure window and
-     degree bound as the Convergence harness;
-   - decoupling: twin engines whose [corrupt] pulses differ only in the
+   - converge: fuzzed prefix under an installed fault plan, then run to
+     convergence under the shared adversity oracle;
+   - decouple: twin engines whose [corrupt] pulses differ only in the
      [channels] flag must corrupt the same victims to the same states.
 
    Novelty = new projection fingerprints (fine or labeling-insensitive)
@@ -17,561 +16,40 @@
    riding the Mutation plumbing. *)
 
 module Graph = Mdst_graph.Graph
-module Tree = Mdst_graph.Tree
 module Model = Mdst_model.Model
-module State = Mdst_core.State
-module Msg = Mdst_core.Msg
-module Projection = Mdst_core.Projection
-module Checker = Mdst_core.Checker
-module Run = Mdst_core.Run
-module Node = Mdst_sim.Node
 module Fault = Mdst_sim.Fault
 module Prng = Mdst_util.Prng
 module Mutation = Mdst_util.Mutation
-module Fr = Mdst_baseline.Fr
 
-type variant = [ `Default | `Suppressed ]
+type trophy = { t_kind : Replay.kind; t_entry : Scenario.t; t_detail : string }
 
-type init = [ `Clean | `Legitimate | `Random ]
+let events (s : Scenario.t) =
+  match s.schedule with Scenario.Events e -> e.events | Scenario.Natural _ -> []
 
-type config = {
-  variant : variant;
-  init : init;
-  graph : Graph.t;
-  engine_seed : int;
-  plan : Fault.plan;
-  double_corrupt : bool;
-}
+let steps (s : Scenario.t) =
+  match s.schedule with Scenario.Events e -> e.steps | Scenario.Natural k -> k
 
-type entry = { config : config; sched : string list; steps : int }
+let with_schedule (s : Scenario.t) events steps = { s with schedule = Scenario.Events { events; steps } }
 
-type trophy_kind = Divergence | Closure | Crash | Adversity | Decoupling
+(* Rebuild from what executed, so the scenario replays strictly. *)
+let recorded (s : Scenario.t) executed =
+  if executed = [] then s else with_schedule s executed (List.length executed)
 
-let kind_to_string = function
-  | Divergence -> "divergence"
-  | Closure -> "closure"
-  | Crash -> "crash"
-  | Adversity -> "adversity"
-  | Decoupling -> "decoupling"
-
-type trophy = { t_kind : trophy_kind; t_entry : entry; t_detail : string }
-
-(* ---------------- reproducer format ---------------- *)
-
-let fail fmt = Printf.ksprintf invalid_arg fmt
-
-let entry_to_string (e : entry) =
-  let g = e.config.graph in
-  let n = Graph.n g in
-  let ids = List.init n (Graph.id g) in
-  let identity = List.for_all2 ( = ) ids (List.init n Fun.id) in
-  let edges =
-    Array.to_list (Graph.edges g)
-    |> List.map (fun (u, v) -> Printf.sprintf "%d-%d" u v)
-    |> String.concat ","
-  in
-  let slen = List.length e.sched in
-  String.concat ";"
-    ([
-       "variant="
-       ^ (match e.config.variant with `Default -> "default" | `Suppressed -> "suppressed");
-       "init="
-       ^ (match e.config.init with
-         | `Clean -> "clean"
-         | `Legitimate -> "legitimate"
-         | `Random -> "random");
-       Printf.sprintf "n=%d" n;
-     ]
-    @ (if identity then []
-       else [ "ids=" ^ String.concat "," (List.map string_of_int ids) ])
-    @ [ "edges=" ^ edges; Printf.sprintf "seed=%d" e.config.engine_seed ]
-    @ (if Fault.is_empty e.config.plan then []
-       else [ "plan=" ^ Fault.to_string e.config.plan ])
-    @ (if e.config.double_corrupt then [ "dc=1" ] else [])
-    @ (if e.steps = slen then [] else [ Printf.sprintf "steps=%d" e.steps ])
-    @ if e.sched = [] then [] else [ "sched=" ^ String.concat "," e.sched ])
-
-let entry_of_string s =
-  let variant = ref `Default and init = ref `Clean in
-  let n = ref None and ids = ref None and edges = ref None in
-  let seed = ref 0 and plan = ref Fault.empty and dc = ref false in
-  let steps = ref None and sched = ref [] in
-  List.iter
-    (fun part ->
-      let part = String.trim part in
-      if part = "" then ()
-      else
-        match String.index_opt part '=' with
-        | None -> fail "Fuzz.entry_of_string: bad component %S" part
-        | Some i -> (
-            let key = String.sub part 0 i in
-            let value = String.sub part (i + 1) (String.length part - i - 1) in
-            match key with
-            | "variant" -> (
-                match value with
-                | "default" -> variant := `Default
-                | "suppressed" -> variant := `Suppressed
-                | _ -> fail "Fuzz.entry_of_string: bad variant %S" value)
-            | "init" -> (
-                match value with
-                | "clean" -> init := `Clean
-                | "legitimate" -> init := `Legitimate
-                | "random" -> init := `Random
-                | _ -> fail "Fuzz.entry_of_string: bad init %S" value)
-            | "n" -> n := int_of_string_opt value
-            | "ids" ->
-                ids :=
-                  Some
-                    (String.split_on_char ',' value
-                    |> List.map (fun v ->
-                           match int_of_string_opt (String.trim v) with
-                           | Some x -> x
-                           | None -> fail "Fuzz.entry_of_string: bad id %S" v))
-            | "seed" -> (
-                match int_of_string_opt value with
-                | Some v -> seed := v
-                | None -> fail "Fuzz.entry_of_string: bad seed %S" value)
-            | "plan" -> (
-                try plan := Fault.of_string value
-                with Invalid_argument m -> fail "Fuzz.entry_of_string: %s" m)
-            | "dc" -> dc := value = "1"
-            | "steps" -> (
-                match int_of_string_opt value with
-                | Some v when v >= 0 -> steps := Some v
-                | _ -> fail "Fuzz.entry_of_string: bad steps %S" value)
-            | "edges" ->
-                edges :=
-                  Some
-                    (String.split_on_char ',' value
-                    |> List.filter (fun e -> String.trim e <> "")
-                    |> List.map (fun e ->
-                           match String.split_on_char '-' (String.trim e) with
-                           | [ u; v ] -> (int_of_string u, int_of_string v)
-                           | _ -> fail "Fuzz.entry_of_string: bad edge %S" e))
-            | "sched" ->
-                sched :=
-                  String.split_on_char ',' value
-                  |> List.filter (fun t -> String.trim t <> "")
-                  |> List.map (fun t ->
-                         let t = String.trim t in
-                         (try ignore (Model.event_of_string t)
-                          with Failure m -> fail "Fuzz.entry_of_string: %s" m);
-                         t)
-            | _ -> fail "Fuzz.entry_of_string: unknown key %S" key))
-    (String.split_on_char ';' s);
-  match (!n, !edges) with
-  | Some n, Some edges ->
-      let ids = Option.map Array.of_list !ids in
-      let graph = Graph.of_edges ?ids ~n edges in
-      let sched = !sched in
-      let steps = match !steps with Some v -> v | None -> List.length sched in
-      {
-        config =
-          {
-            variant = !variant;
-            init = !init;
-            graph;
-            engine_seed = !seed;
-            plan = !plan;
-            double_corrupt = !dc;
-          };
-        sched;
-        steps;
-      }
-  | _ -> fail "Fuzz.entry_of_string: missing n= or edges="
+(* A fault plan that lost its last event runs as a lockstep scenario. *)
+let with_plan (s : Scenario.t) plan =
+  { s with oracle = (if Fault.is_empty plan then Scenario.Lockstep else Scenario.Converge plan) }
 
 (* ---------------- execution ---------------- *)
 
-(* What one execution produced: the events actually executed (in
-   [Model.event_to_string] vocabulary — a trophy's schedule is rebuilt
-   from this so it replays strictly), the fingerprints sampled along the
-   way (the novelty signal), and the failure, if any. *)
-type exec_outcome = {
-  x_executed : string list;
-  x_fps : int list;
-  x_coarse : int list;
-  x_fail : (trophy_kind * string) option;
-}
-
-let gap_bucket gap =
-  if gap <= 4 then 0
-  else if gap <= 16 then 1
-  else if gap <= 64 then 2
-  else if gap <= 256 then 3
-  else 4
-
-module Exec
-    (A : Node.AUTOMATON with type state = State.t and type msg = Msg.t) (P : sig
-      val params : Model.params
-    end) =
-struct
-  module R = Run.Runner (A)
-  module E = R.Engine
-
-  let make_engine (cfg : config) =
-    match cfg.init with
-    | `Clean -> E.create ~seed:cfg.engine_seed ~init:`Clean cfg.graph
-    | `Random -> E.create ~seed:cfg.engine_seed ~init:`Random cfg.graph
-    | `Legitimate ->
-        let e = E.create ~seed:cfg.engine_seed ~init:`Clean cfg.graph in
-        Array.iteri (E.set_state e) (Explore.legitimate_states cfg.graph);
-        e
-
-  let matches ev (c : E.choice) =
-    match (ev, c) with
-    | Model.Tick v, E.Choose_tick { node } -> node = v
-    | Model.Deliver { src; dst }, E.Choose_deliver d -> d.src = src && d.dst = dst
-    | _ -> false
-
-  let find_choice ev options =
-    let len = Array.length options in
-    let rec go i =
-      if i >= len then -1 else if matches ev options.(i) then i else go (i + 1)
-    in
-    go 0
-
-  (* The shared chooser.  Strict mode replays [sched.(!i)] exactly and
-     fails closed when it is no longer eligible.  Adaptive mode consumes
-     the schedule as a preference list — the first still-eligible entry
-     from the cursor wins — and falls back to a uniform random choice
-     when the schedule is exhausted or nothing in it is eligible. *)
-  let choose_with ~strict ~rng ~sched ~cursor ~i ~chosen options =
-    let k =
-      if strict then begin
-        let ev = sched.(!i) in
-        let k = find_choice ev options in
-        if k < 0 then
-          failwith
-            (Printf.sprintf
-               "Fuzz.replay: step %d: scheduled event %s is not eligible (tick not \
-                armed, or channel empty or purged)"
-               !i (Model.event_to_string ev));
-        k
-      end
-      else begin
-        let slen = Array.length sched in
-        let rec scan j =
-          if j >= slen then None
-          else
-            let k = find_choice sched.(j) options in
-            if k >= 0 then Some (j, k) else scan (j + 1)
-        in
-        match scan !cursor with
-        | Some (j, k) ->
-            cursor := j + 1;
-            k
-        | None -> Prng.int rng (Array.length options)
-      end
-    in
-    chosen := Some options.(k);
-    k
-
-  let token_of (c : E.choice) =
-    match c with
-    | E.Choose_tick { node } -> Printf.sprintf "t%d" node
-    | E.Choose_deliver { src; dst; _ } -> Printf.sprintf "%d>%d" src dst
-
-  (* Lockstep mode: every executed event is mirrored on the reference
-     model; states (all fields), delivered heads and — at the end — the
-     whole in-flight content must agree.  The closure premise is
-     re-evaluated every 4th step (it is O(n + m + in-flight) and most
-     steps cannot newly establish it); only fewer violations can be
-     reported by the throttling, never spurious ones, because a breach is
-     only flagged when the premise provably held before the step. *)
-  let run_lockstep ~strict ~rng (cfg : config) sched ~total =
-    let engine = make_engine cfg in
-    let g = cfg.graph in
-    let n = Graph.n g in
-    let model =
-      ref
-        (Model.make ~params:P.params ~states:(E.states engine)
-           ~in_flight:(E.in_flight engine) g)
-    in
-    let executed = ref [] and fps = ref [] and coarse = ref [] in
-    let failure = ref None in
-    let cursor = ref 0 and prem_prev = ref false in
-    let i = ref 0 in
-    while !i < total && !failure = None do
-      let chosen = ref None in
-      let choose = choose_with ~strict ~rng ~sched ~cursor ~i ~chosen in
-      let progressed = E.step_with engine ~choose in
-      (match (!chosen, progressed) with
-      | None, _ | _, false -> i := total
-      | Some c, true ->
-          let ev =
-            match c with
-            | E.Choose_tick { node } -> Model.Tick node
-            | E.Choose_deliver { src; dst; _ } -> Model.Deliver { src; dst }
-          in
-          executed := Model.event_to_string ev :: !executed;
-          let head_ok =
-            match c with
-            | E.Choose_tick _ -> true
-            | E.Choose_deliver { src; dst; label } -> (
-                match Model.peek !model ~src ~dst with
-                | None ->
-                    failure :=
-                      Some
-                        ( Divergence,
-                          Printf.sprintf
-                            "channel %d->%d: engine delivered %s but the model \
-                             channel is empty"
-                            src dst label );
-                    false
-                | Some m when Msg.label m <> label ->
-                    failure :=
-                      Some
-                        ( Divergence,
-                          Printf.sprintf
-                            "channel %d->%d: engine delivered %s, model head is %s"
-                            src dst label (Msg.label m) );
-                    false
-                | Some _ -> true)
-          in
-          if head_ok then begin
-            model := Model.step !model ev;
-            let st = E.states engine and mst = (!model).Model.nodes in
-            if st <> mst then begin
-              let detail =
-                match Projection.diff (Projection.of_states mst) (Projection.of_states st) with
-                | (idx, what) :: _ ->
-                    Printf.sprintf "after %s: node %d %s (model vs engine)"
-                      (Model.event_to_string ev) idx what
-                | [] ->
-                    let idx = ref (-1) in
-                    Array.iteri (fun k s -> if !idx < 0 && s <> mst.(k) then idx := k) st;
-                    Printf.sprintf "after %s: node %d differs in a non-projected field"
-                      (Model.event_to_string ev) !idx
-              in
-              failure := Some (Divergence, detail)
-            end
-            else begin
-              fps := Projection.fingerprint_states st :: !fps;
-              coarse := Projection.fingerprint_coarse st :: !coarse;
-              let legit = Checker.legitimate g mst in
-              if !prem_prev && not legit then
-                failure :=
-                  Some
-                    ( Closure,
-                      Printf.sprintf
-                        "after %s: a configuration satisfying the closure premise \
-                         stepped to an illegitimate one"
-                        (Model.event_to_string ev) )
-              else
-                prem_prev :=
-                  legit && !i land 3 = 0
-                  && Explore.premise g mst (!model).Model.channels
-            end
-          end);
-      incr i
-    done;
-    (if !failure = None then begin
-       let chans = Array.make (n * n) [] in
-       List.iter
-         (fun (src, dst, m) -> chans.((src * n) + dst) <- m :: chans.((src * n) + dst))
-         (E.in_flight engine);
-       Array.iteri (fun idx l -> chans.(idx) <- List.rev l) chans;
-       let mchans = (!model).Model.channels in
-       let idx = ref (-1) in
-       Array.iteri (fun k l -> if !idx < 0 && l <> mchans.(k) then idx := k) chans;
-       if !idx >= 0 then
-         failure :=
-           Some
-             ( Divergence,
-               Printf.sprintf "final in-flight mismatch on channel %d->%d" (!idx / n)
-                 (!idx mod n) )
-     end);
-    {
-      x_executed = List.rev !executed;
-      x_fps = !fps;
-      x_coarse = !coarse;
-      x_fail = !failure;
-    }
-
-  (* Adversity mode: fuzzed prefix under the installed plan, then run to
-     convergence with the same stop predicate, closure window and degree
-     bound as the Convergence harness (including its stop-check-race
-     mutant hook — a mutant that stops while tampered messages are in
-     flight is then convicted by the closure window). *)
-  let run_adversity ~strict ~rng (cfg : config) sched ~total =
-    let engine = make_engine cfg in
-    E.install_faults engine ~remap:Mdst_core.Transplant.states cfg.plan;
-    let executed = ref [] and fps = ref [] and coarse = ref [] in
-    let failure = ref None in
-    let cursor = ref 0 in
-    let i = ref 0 in
-    while !i < total do
-      let chosen = ref None in
-      let choose = choose_with ~strict ~rng ~sched ~cursor ~i ~chosen in
-      let progressed = E.step_with engine ~choose in
-      (match (!chosen, progressed) with
-      | None, _ | _, false -> i := total
-      | Some c, true ->
-          executed := token_of c :: !executed;
-          if !i land 3 = 0 then begin
-            fps := Projection.fingerprint_states (E.states engine) :: !fps;
-            coarse := Projection.fingerprint_coarse (E.states engine) :: !coarse
-          end);
-      incr i
-    done;
-    let n = Graph.n cfg.graph in
-    let last_fault = Fault.last_fault_round cfg.plan in
-    let base_stop = R.make_stop ~fixpoint:(fun tree -> not (Fr.improvable tree)) () in
-    let stop e =
-      base_stop e
-      && E.rounds e > last_fault
-      && (Mutation.enabled "stop-check-race" || not (E.faults_pending e))
-    in
-    let max_rounds = last_fault + 4000 + (250 * n) in
-    let outcome = E.run engine ~max_rounds ~check_every:2 ~stop () in
-    Mutation.probe
-      (Printf.sprintf "fuzz:adv-gap-%d" (gap_bucket (outcome.E.rounds - last_fault)));
-    Mutation.probe_n "fuzz:adv-faults" (Fault.total (E.fault_stats engine));
-    if not outcome.E.converged then
-      failure :=
-        Some
-          ( Adversity,
-            Printf.sprintf
-              "no convergence within %d rounds (last fault at round %d, %d faults \
-               applied)"
-              max_rounds last_fault
-              (Fault.total (E.fault_stats engine)) )
-    else if E.faults_pending engine then
-      (* The stop predicate must not declare victory while tampered
-         messages are in flight or scheduled faults are outstanding — a
-         sound stop waits for [not (faults_pending e)], so this can only
-         fire when the stop check races the adversary. *)
-      failure :=
-        Some
-          ( Adversity,
-            Printf.sprintf
-              "convergence declared at round %d with adversarial work still \
-               outstanding (tampered message in flight or scheduled fault pending)"
-              outcome.E.rounds )
-    else begin
-      Mutation.probe "fuzz:adv-converged";
-      (* Closure window: after declared convergence the fingerprint must
-         hold still and the configuration stay legitimate. *)
-      let fp0 = Checker.fingerprint (E.states engine) in
-      let r0 = E.rounds engine in
-      ignore (E.run engine ~max_rounds:(r0 + 80) ~check_every:4 ~stop:(fun _ -> false) ());
-      let g_now = E.graph engine in
-      let fp1 = Checker.fingerprint (E.states engine) in
-      let legit = Checker.legitimate g_now (E.states engine) in
-      if fp0 <> fp1 || not legit then
-        failure :=
-          Some
-            ( Adversity,
-              Printf.sprintf
-                "closure breach after declared convergence at round %d (fingerprint \
-                 %s, %s)"
-                r0
-                (if fp0 <> fp1 then "moved" else "stable")
-                (if legit then "legitimate" else "illegitimate") )
-      else
-        match Checker.tree_degree_now g_now (E.states engine) with
-        | None -> failure := Some (Adversity, "converged but no tree extractable")
-        | Some d ->
-            let bound = Tree.max_degree (Fr.approx_mdst g_now) + 1 in
-            if d > bound then
-              failure :=
-                Some
-                  ( Adversity,
-                    Printf.sprintf "final degree %d exceeds FR-degree + 1 = %d" d bound
-                  )
-    end;
-    {
-      x_executed = List.rev !executed;
-      x_fps = !fps;
-      x_coarse = !coarse;
-      x_fail = !failure;
-    }
-
-  (* Decoupling mode: twin engines, same seed; each corrupt pulse flips
-     the [channels] flag between them.  Victim sets and corrupted states
-     come from split streams, so the states must agree either way — a
-     mutant that draws from the engine stream couples them. *)
-  let run_decoupling (cfg : config) =
-    let init = match cfg.init with `Random -> `Random | `Clean | `Legitimate -> `Clean in
-    let e1 = E.create ~seed:cfg.engine_seed ~init cfg.graph in
-    let e2 = E.create ~seed:cfg.engine_seed ~init cfg.graph in
-    let rng = Prng.create (cfg.engine_seed lxor 0x7a3d) in
-    let pulses = 2 + Prng.int rng 3 in
-    let failure = ref None in
-    let fps = ref [] and coarse = ref [] in
-    let p = ref 0 in
-    while !p < pulses && !failure = None do
-      let fraction = 0.25 +. Prng.float rng 0.75 in
-      let ch = Prng.bool rng in
-      ignore (E.corrupt e1 ~fraction ~channels:ch ());
-      ignore (E.corrupt e2 ~fraction ~channels:(not ch) ());
-      Mutation.probe (Printf.sprintf "fuzz:dc-pulse-%d" !p);
-      if E.states e1 <> E.states e2 then
-        failure :=
-          Some
-            ( Decoupling,
-              Printf.sprintf
-                "corrupt pulse %d (fraction %.2f): victim states depend on the \
-                 channels flag"
-                !p fraction )
-      else begin
-        fps := Projection.fingerprint_states (E.states e1) :: !fps;
-        coarse := Projection.fingerprint_coarse (E.states e1) :: !coarse
-      end;
-      incr p
-    done;
-    { x_executed = []; x_fps = !fps; x_coarse = !coarse; x_fail = !failure }
-
-  let execute_entry ~strict ~rng (e : entry) =
-    let cfg = e.config in
-    if cfg.double_corrupt then run_decoupling cfg
-    else begin
-      let sched = Array.of_list (List.map Model.event_of_string e.sched) in
-      let slen = Array.length sched in
-      let n = Graph.n cfg.graph in
-      let adversity = not (Fault.is_empty cfg.plan) in
-      let default_total = if adversity then (8 * n) + 64 else (48 * n) + 128 in
-      let total =
-        if strict then begin
-          if slen = 0 then failwith "Fuzz.replay: empty schedule — nothing to replay";
-          if e.steps > slen then
-            failwith
-              (Printf.sprintf
-                 "Fuzz.replay: schedule exhausted: steps=%d but only %d events \
-                  recorded (adaptive fallback is disabled in replay)"
-                 e.steps slen);
-          slen
-        end
-        else max slen (if e.steps > 0 then e.steps else default_total)
-      in
-      if adversity then run_adversity ~strict ~rng cfg sched ~total
-      else run_lockstep ~strict ~rng cfg sched ~total
-    end
-end
-
-module Exec_default =
-  Exec
-    (Mdst_core.Proto.Default)
-    (struct
-      let params = Model.default
-    end)
-
-module Exec_suppressed =
-  Exec
-    (Mdst_core.Proto.Suppressed)
-    (struct
-      let params = Model.suppressed
-    end)
-
-let execute ~strict ~rng (e : entry) =
-  match e.config.variant with
-  | `Default -> Exec_default.execute_entry ~strict ~rng e
-  | `Suppressed -> Exec_suppressed.execute_entry ~strict ~rng e
-
-let replay e =
-  match (execute ~strict:true ~rng:(Prng.create 0) e).x_fail with
-  | None -> Ok ()
-  | Some (k, d) -> Error (k, d)
+(* An adaptive execution; an empty horizon gets the mode's default. *)
+let execute ~rng (s : Scenario.t) =
+  let n = Graph.n s.graph in
+  let default_total =
+    match s.oracle with Scenario.Converge _ -> (8 * n) + 64 | _ -> (48 * n) + 128
+  in
+  let steps = steps s in
+  Replay.replay ~adaptive:rng
+    (with_schedule s (events s) (if steps > 0 then steps else default_total))
 
 (* ---------------- shrinking ---------------- *)
 
@@ -579,36 +57,26 @@ let replay e =
    schedule entries ineligible; the adaptive chooser skips them), with
    the chooser's fallback stream derived from the candidate itself so a
    re-run of the same candidate replays bit-identically.  An accepted
-   candidate's entry is rebuilt from what actually executed, so the final
-   trophy always replays strictly. *)
-let run_deterministic e =
-  let rng = Prng.create (Prng.seed_of_string (entry_to_string e)) in
-  execute ~strict:false ~rng e
-
+   candidate is rebuilt from what actually executed, so the final trophy
+   always replays strictly. *)
 let shrink_trophy ?(max_attempts = 300) (trophy : trophy) =
   let attempts = ref max_attempts in
-  let try_entry e =
-    match run_deterministic e with
-    | out -> (out.x_fail, out.x_executed)
-    | exception exn -> (Some (Crash, Printexc.to_string exn), [])
-  in
-  let rebuild cand executed =
-    if executed = [] then cand
-    else { cand with sched = executed; steps = List.length executed }
+  let try_entry s =
+    match execute ~rng:(Prng.create (Prng.seed_of_string (Scenario.to_string s))) s with
+    | v -> (Option.map (fun (f : Replay.failure) -> (f.kind, f.detail)) v.failure, v.executed)
+    | exception exn -> (Some (Replay.Crash, Printexc.to_string exn), [])
   in
   let rec minimize (t : trophy) =
     if !attempts <= 0 then t
     else begin
       let e = t.t_entry in
       let sched_cands =
-        Seq.map (fun s -> { e with sched = s; steps = List.length s }) (Shrink.list e.sched)
+        Seq.map (fun l -> with_schedule e l (List.length l)) (Shrink.list (events e))
       in
       let plan_cands =
-        if Fault.is_empty e.config.plan then Seq.empty
-        else
-          Seq.map
-            (fun p -> { e with config = { e.config with plan = p } })
-            (Shrink.plan e.config.plan)
+        match e.oracle with
+        | Scenario.Converge p -> Seq.map (with_plan e) (Shrink.plan p)
+        | Scenario.Lockstep | Scenario.Decouple -> Seq.empty
       in
       let rec search cands =
         if !attempts <= 0 then None
@@ -619,7 +87,7 @@ let shrink_trophy ?(max_attempts = 300) (trophy : trophy) =
               decr attempts;
               match try_entry cand with
               | Some (k, d), executed when k = t.t_kind ->
-                  Some { t_kind = k; t_entry = rebuild cand executed; t_detail = d }
+                  Some { t_kind = k; t_entry = recorded cand executed; t_detail = d }
               | _ -> search rest)
       in
       match search (Seq.append sched_cands plan_cands) with
@@ -672,12 +140,11 @@ let gen_graph ~max_n rng =
 let gen_plan graph rng = Gen.fault_plan ~graph ~max_events:4 ~horizon:160 () (Prng.split rng)
 
 let vocab graph =
-  let n = Graph.n graph in
-  let ticks = List.init n (Printf.sprintf "t%d") in
+  let ticks = List.init (Graph.n graph) (fun v -> Model.Tick v) in
   let dirs =
     Array.to_list (Graph.edges graph)
     |> List.concat_map (fun (u, v) ->
-           [ Printf.sprintf "%d>%d" u v; Printf.sprintf "%d>%d" v u ])
+           [ Model.Deliver { src = u; dst = v }; Model.Deliver { src = v; dst = u } ])
   in
   Array.of_list (ticks @ dirs)
 
@@ -736,21 +203,25 @@ let sharpen_plan rng (plan : Fault.plan) =
 
 let sweep_entries ~max_n rng =
   let seed () = Prng.int rng 1_000_000 in
-  let mk variant init ~plan ~dc graph =
+  let mk variant init ~oracle graph =
     {
-      config = { variant; init; graph; engine_seed = seed (); plan; double_corrupt = dc };
-      sched = [];
-      steps = 0;
+      Scenario.variant;
+      init;
+      graph;
+      seed = seed ();
+      oracle;
+      schedule = Scenario.Events { events = []; steps = 0 };
     }
   in
-  let plain variant init = mk variant init ~plan:Fault.empty ~dc:false (gen_graph ~max_n rng) in
-  let dc variant init = mk variant init ~plan:Fault.empty ~dc:true (gen_graph ~max_n rng) in
+  let plain variant init = mk variant init ~oracle:Scenario.Lockstep (gen_graph ~max_n rng) in
+  let dc variant init = mk variant init ~oracle:Scenario.Decouple (gen_graph ~max_n rng) in
   (* Sweep adversity plans start sharpened: a tampering window pressed
      against the stop boundary is the fuzzer's prior about where
      stop-predicate bugs live.  The plan redraw mutators un-sharpen. *)
   let adv variant init =
     let g = gen_graph ~max_n rng in
-    mk variant init ~plan:(sharpen_plan rng (gen_plan g rng)) ~dc:false g
+    let plan = sharpen_plan rng (gen_plan g rng) in
+    with_plan (mk variant init ~oracle:Scenario.Lockstep g) plan
   in
   [
     plain `Suppressed `Clean;
@@ -831,84 +302,74 @@ let mutate_sched rng graph sched steps =
       in
       (l, keep_steps l)
 
-let flip_variant (cfg : config) =
-  {
-    cfg with
-    variant = (match cfg.variant with `Default -> `Suppressed | `Suppressed -> `Default);
-  }
+let flip_variant (s : Scenario.t) =
+  { s with variant = (match s.variant with `Default -> `Suppressed | `Suppressed | `Broken -> `Default) }
 
-let cycle_init (cfg : config) =
+let cycle_init (s : Scenario.t) =
   {
-    cfg with
+    s with
     init =
-      (match cfg.init with
+      (match s.init with
       | `Clean -> `Legitimate
       | `Legitimate -> `Random
       | `Random -> `Clean);
   }
 
+let reseed rng (s : Scenario.t) = { s with seed = Prng.int rng 1_000_000 }
+
 (* A fresh graph invalidates everything that referenced the old one: the
-   plan's events target the old edges, so a plan-carrying configuration
-   gets a plan redrawn for the new topology. *)
-let fresh_graph ~max_n rng (cfg : config) =
+   schedule and the plan's events target the old topology, so a
+   plan-carrying scenario gets a plan redrawn for the new one. *)
+let fresh_graph ~max_n rng (s : Scenario.t) =
   let g = gen_graph ~max_n rng in
-  let plan = if Fault.is_empty cfg.plan then Fault.empty else gen_plan g rng in
-  { cfg with graph = g; plan }
+  let s = with_schedule { s with graph = g } [] 0 in
+  match s.oracle with
+  | Scenario.Converge _ -> with_plan s (gen_plan g rng)
+  | Scenario.Lockstep | Scenario.Decouple -> s
 
-let mutate_config ~max_n rng (cfg : config) =
-  if Fault.is_empty cfg.plan then
-    match Prng.int rng 8 with
-    | 0 -> flip_variant cfg
-    | 1 -> cycle_init cfg
-    | 2 | 3 -> { cfg with engine_seed = Prng.int rng 1_000_000 }
-    | 4 -> { cfg with plan = gen_plan cfg.graph rng; double_corrupt = false }
-    | 5 -> { cfg with double_corrupt = not cfg.double_corrupt }
-    | _ -> fresh_graph ~max_n rng cfg
-  else
-    (* Plan-carrying parents: most energy goes to the plan itself — a
-       full redraw escapes dud plans, window shifts slide a tampering
-       window onto (or off) the convergence transient, sharpening turns a
-       plan into a stop-check stress test.  The engine seed redraws too:
-       a race is a (plan, seed) coincidence, and a parent that converged
-       cleanly has already proven its own pair harmless. *)
-    match Prng.int rng 10 with
-    | 0 -> if Prng.bool rng then flip_variant cfg else cycle_init cfg
-    | 1 | 2 -> { cfg with engine_seed = Prng.int rng 1_000_000 }
-    | 3 | 4 -> { cfg with plan = gen_plan cfg.graph rng; engine_seed = Prng.int rng 1_000_000 }
-    | 5 ->
-        let evs = cfg.plan.Fault.events in
-        let i = Prng.int rng (List.length evs) in
-        {
-          cfg with
-          plan = { cfg.plan with Fault.events = List.filteri (fun j _ -> j <> i) evs };
-        }
-    | 6 ->
-        let d = Prng.int_in rng (-48) 48 in
-        {
-          cfg with
-          plan =
-            { cfg.plan with Fault.events = List.map (shift_event d) cfg.plan.Fault.events };
-        }
-    | 7 | 8 ->
-        {
-          cfg with
-          plan = sharpen_plan rng cfg.plan;
-          engine_seed = Prng.int rng 1_000_000;
-        }
-    | _ -> fresh_graph ~max_n rng cfg
+let mutate_config ~max_n rng (s : Scenario.t) =
+  match s.oracle with
+  | Scenario.Lockstep | Scenario.Decouple -> (
+      match Prng.int rng 8 with
+      | 0 -> flip_variant s
+      | 1 -> cycle_init s
+      | 2 | 3 -> reseed rng s
+      | 4 -> with_plan s (gen_plan s.graph rng)
+      | 5 ->
+          { s with oracle = (if s.oracle = Scenario.Decouple then Scenario.Lockstep else Scenario.Decouple) }
+      | _ -> fresh_graph ~max_n rng s)
+  | Scenario.Converge plan -> (
+      (* Plan-carrying parents: most energy goes to the plan itself — a
+         full redraw escapes dud plans, window shifts slide a tampering
+         window onto (or off) the convergence transient, sharpening turns
+         a plan into a stop-check stress test.  The engine seed redraws
+         too: a race is a (plan, seed) coincidence, and a parent that
+         converged cleanly has already proven its own pair harmless. *)
+      let events = plan.Fault.events in
+      match Prng.int rng 10 with
+      | 0 -> if Prng.bool rng then flip_variant s else cycle_init s
+      | 1 | 2 -> reseed rng s
+      | 3 | 4 ->
+          let plan = gen_plan s.graph rng in
+          reseed rng (with_plan s plan)
+      | 5 ->
+          let i = Prng.int rng (List.length events) in
+          with_plan s { plan with Fault.events = List.filteri (fun j _ -> j <> i) events }
+      | 6 ->
+          let d = Prng.int_in rng (-48) 48 in
+          with_plan s { plan with Fault.events = List.map (shift_event d) events }
+      | 7 | 8 ->
+          let plan = sharpen_plan rng plan in
+          reseed rng (with_plan s plan)
+      | _ -> fresh_graph ~max_n rng s)
 
-let mutate_cfg_entry ~max_n rng (e : entry) =
-  let cfg = mutate_config ~max_n rng e.config in
-  if cfg.graph != e.config.graph then { config = cfg; sched = []; steps = 0 }
-  else { e with config = cfg }
-
-let mutate_entry ~max_n rng (e : entry) =
-  let sched_share = if Fault.is_empty e.config.plan then 7 else 4 in
-  if Prng.int rng 10 < sched_share && e.sched <> [] then begin
-    let sched, steps = mutate_sched rng e.config.graph e.sched e.steps in
-    { e with sched; steps }
+let mutate_entry ~max_n rng (s : Scenario.t) =
+  let sched_share = match s.oracle with Scenario.Converge _ -> 4 | _ -> 7 in
+  if Prng.int rng 10 < sched_share && events s <> [] then begin
+    let events, steps = mutate_sched rng s.graph (events s) (steps s) in
+    with_schedule s events steps
   end
-  else mutate_cfg_entry ~max_n rng e
+  else mutate_config ~max_n rng s
 
 (* The uniform baseline: a fresh random configuration and a pure random
    schedule (empty preference list) every execution.  Kind mix: 1/10
@@ -919,27 +380,24 @@ let gen_random_entry ~max_n rng =
   let variant = if Prng.bool rng then `Default else `Suppressed in
   let init = match Prng.int rng 3 with 0 -> `Clean | 1 -> `Legitimate | _ -> `Random in
   let kind = Prng.int rng 10 in
-  let dc = kind = 0 in
-  let plan = if (not dc) && kind < 4 then gen_plan graph rng else Fault.empty in
-  {
-    config =
-      {
-        variant;
-        init;
-        graph;
-        engine_seed = Prng.int rng 1_000_000;
-        plan;
-        double_corrupt = dc;
-      };
-    sched = [];
-    steps = 0;
-  }
+  let s =
+    {
+      Scenario.variant;
+      init;
+      graph;
+      seed = 0;
+      oracle = (if kind = 0 then Scenario.Decouple else Scenario.Lockstep);
+      schedule = Scenario.Events { events = []; steps = 0 };
+    }
+  in
+  let s = if kind > 0 && kind < 4 then with_plan s (gen_plan graph rng) else s in
+  reseed rng s
 
 (* Entries sharing a configuration line are crossover-compatible. *)
-let config_key (e : entry) = entry_to_string { e with sched = []; steps = 0 }
+let config_key s = Scenario.to_string (with_schedule s [] 0)
 
-let crossover rng (a : entry) (b : entry) =
-  let xa = Array.of_list a.sched and xb = Array.of_list b.sched in
+let crossover rng (a : Scenario.t) (b : Scenario.t) =
+  let xa = Array.of_list (events a) and xb = Array.of_list (events b) in
   if Array.length xa = 0 || Array.length xb = 0 then a
   else begin
     let i = Prng.int rng (Array.length xa + 1) in
@@ -948,8 +406,8 @@ let crossover rng (a : entry) (b : entry) =
       Array.to_list (Array.sub xa 0 i)
       @ Array.to_list (Array.sub xb j (Array.length xb - j))
     in
-    let sched = if sched = [] then a.sched else sched in
-    { a with sched; steps = max (List.length sched) a.steps }
+    let sched = if sched = [] then events a else sched in
+    with_schedule a sched (max (List.length sched) (steps a))
   end
 
 let ensure_dir d = if not (Sys.file_exists d) then Sys.mkdir d 0o755
@@ -971,7 +429,7 @@ let load_corpus dir =
              let ic = open_in (Filename.concat dir f) in
              let line = try input_line ic with End_of_file -> "" in
              close_in ic;
-             try Some (entry_of_string line) with _ -> None
+             try Some (Scenario.of_string line) with _ -> None
            end
            else None)
 
@@ -993,10 +451,11 @@ let campaign ?(mode = (`Fuzz : mode)) ?(quick = false) ?(budget_s = 60.)
   let lock_c = ref [] and lock_n = ref 0 in
   let adv_c = ref [] and adv_n = ref 0 in
   let dc_c = ref [] and dc_n = ref 0 in
-  let sub_of (e : entry) =
-    if e.config.double_corrupt then (dc_c, dc_n)
-    else if not (Fault.is_empty e.config.plan) then (adv_c, adv_n)
-    else (lock_c, lock_n)
+  let sub_of (e : Scenario.t) =
+    match e.oracle with
+    | Scenario.Decouple -> (dc_c, dc_n)
+    | Scenario.Converge _ -> (adv_c, adv_n)
+    | Scenario.Lockstep -> (lock_c, lock_n)
   in
   let ncorpus = ref 0 and saved = ref 0 in
   let burst_q = ref [] and burst_n = ref 0 in
@@ -1081,7 +540,7 @@ let campaign ?(mode = (`Fuzz : mode)) ?(quick = false) ?(budget_s = 60.)
     | None -> ()
     | Some d ->
         incr saved;
-        save_case d (Printf.sprintf "s%d-%06d.case" seed !saved) (entry_to_string e)
+        save_case d (Printf.sprintf "s%d-%06d.case" seed !saved) (Scenario.to_string e)
   in
   let keep_trophy t =
     trophies := t :: !trophies;
@@ -1091,10 +550,10 @@ let campaign ?(mode = (`Fuzz : mode)) ?(quick = false) ?(budget_s = 60.)
     | Some d ->
         save_case d
           (Printf.sprintf "trophy-s%d-%d.case" seed !ntrophies)
-          (entry_to_string t.t_entry);
+          (Scenario.to_string t.t_entry);
         save_case d
           (Printf.sprintf "trophy-s%d-%d.info" seed !ntrophies)
-          (Printf.sprintf "%s: %s" (kind_to_string t.t_kind) t.t_detail)
+          (Printf.sprintf "%s: %s" (Replay.kind_to_string t.t_kind) t.t_detail)
   in
   let continue_ () =
     !execs < max_execs
@@ -1107,11 +566,15 @@ let campaign ?(mode = (`Fuzz : mode)) ?(quick = false) ?(budget_s = 60.)
     let erng = Prng.split rng in
     let (x_fail, executed, fps, coarse), census =
       try
-        let out, census =
-          Mutation.with_coverage (fun () -> execute ~strict:false ~rng:erng e)
+        let (v : Replay.verdict), census =
+          Mutation.with_coverage (fun () -> execute ~rng:erng e)
         in
-        ((out.x_fail, out.x_executed, out.x_fps, out.x_coarse), census)
-      with exn -> ((Some (Crash, Printexc.to_string exn), [], [], []), [])
+        ( ( Option.map (fun (f : Replay.failure) -> (f.kind, f.detail)) v.failure,
+            v.executed,
+            v.fingerprints,
+            v.coarse ),
+          census )
+      with exn -> ((Some (Replay.Crash, Printexc.to_string exn), [], [], []), [])
     in
     let interesting = ref false in
     let note tbl k =
@@ -1125,18 +588,11 @@ let campaign ?(mode = (`Fuzz : mode)) ?(quick = false) ?(budget_s = 60.)
     List.iter (fun (p, hits) -> note buckets (p, bucketize hits)) census;
     (match x_fail with
     | Some (k, d) ->
-        let t_entry =
-          if executed = [] then e
-          else { e with sched = executed; steps = List.length executed }
-        in
-        let t = { t_kind = k; t_entry; t_detail = d } in
+        let t = { t_kind = k; t_entry = recorded e executed; t_detail = d } in
         keep_trophy (if shrink_trophies then shrink_trophy ~max_attempts:120 t else t)
     | None ->
         if mode = `Fuzz then begin
-          let kept =
-            if executed = [] then e
-            else { e with sched = executed; steps = List.length executed }
-          in
+          let kept = recorded e executed in
           if !interesting then retain kept;
           (* Novelty feedback beyond retention: an adversity run whose
              convergence check fired within 4 rounds of the last fault
@@ -1148,7 +604,7 @@ let campaign ?(mode = (`Fuzz : mode)) ?(quick = false) ?(budget_s = 60.)
             && !burst_n < 12
           then
             for _ = 1 to 3 do
-              burst_q := mutate_cfg_entry ~max_n rng kept :: !burst_q;
+              burst_q := mutate_config ~max_n rng kept :: !burst_q;
               incr burst_n
             done
         end);
@@ -1177,7 +633,7 @@ type detection = {
 
 let detect ?(seeds = 5) ?(max_execs = 2000) ?(budget_s = 120.) mutant =
   if not (List.mem mutant Mutation.names) then
-    fail "Fuzz.detect: unknown mutant %S" mutant;
+    invalid_arg (Printf.sprintf "Fuzz.detect: unknown mutant %S" mutant);
   let base = Prng.seed_of_string mutant land 0xFFFFFF in
   let arm mode =
     Array.init seeds (fun i ->

@@ -1,13 +1,13 @@
 (** Coverage-guided schedule fuzzing: the adversarial daemon as a search.
 
     The bounded explorer ({!Explore}) enumerates every interleaving of
-    tiny instances and the PBT layer samples uniform random schedules;
+    tiny instances and the PBT layer samples the engine's own schedules;
     neither seeks out the rare interleavings where self-stabilization
     proofs actually bite.  The fuzzer closes that gap greybox-style: it
-    replays {e delivery schedules} through the engine's
-    {!Mdst_sim.Engine.Make.step_with} hook, runs the real automaton in
-    lockstep with the {!Mdst_model} reference, and keeps a corpus of
-    schedules ranked by novelty — new projection fingerprints
+    generates {!Scenario}s with explicit delivery schedules, replays each
+    adaptively through {!Replay.replay} (the schedule is a preference
+    order, the rest of the horizon random), and keeps a corpus of
+    scenarios ranked by novelty — new projection fingerprints
     ({!Mdst_core.Projection.fingerprint_states} plus the
     labeling-insensitive {!Mdst_core.Projection.fingerprint_coarse}) and
     new handler-branch hit buckets (the [proto:*] probes riding the
@@ -18,74 +18,20 @@
     {2 Swarm configurations}
 
     Every corpus entry carries its own configuration: protocol variant
-    (Default / Suppressed), initial distribution (clean / legitimate /
-    random), an optional {!Mdst_sim.Fault.plan} (adversity mode: fuzzed
-    prefix, then run to convergence under the same stop predicate and
-    closure checks as {!Convergence}), and a stream-decoupling toggle
-    (twin engines replaying {!Mdst_sim.Engine.Make.corrupt} pulses that
+    (default / suppressed), initial distribution (clean / legitimate /
+    random) and oracle — {!Scenario.Lockstep}, {!Scenario.Converge} under
+    a fault plan (fuzzed prefix, then the shared adversity oracle), or
+    {!Scenario.Decouple} (twin engines replaying corruption pulses that
     must agree regardless of the [channels] flag).
 
-    {2 Oracles and trophies}
+    {2 Trophies}
 
-    A failing execution is a {b trophy}: lockstep divergence (state or
-    channel-head mismatch against the model, including the final
-    in-flight comparison), legitimacy-closure violation (a configuration
-    satisfying {!Explore.premise} stepped to an illegitimate one),
-    adversity failure (no convergence in budget, degree bound broken, or
-    post-convergence closure breach), stream decoupling, or an exception.
-    Trophies are greedily shrunk ({!shrink_trophy}) and printed as
-    one-line reproducers ({!entry_to_string}) that {!replay} re-executes
-    {e strictly} — a replayed schedule step that is no longer eligible
-    (tick not armed, channel empty or purged) fails closed with a clear
-    error instead of silently falling back to default order. *)
+    A failing execution is a {b trophy}: any {!Replay.failure}, or an
+    exception ({!Replay.Crash}).  Trophies are greedily shrunk
+    ({!shrink_trophy}) and printed as scenario lines that [mdst_sim
+    replay] re-executes strictly. *)
 
-type variant = [ `Default | `Suppressed ]
-
-type init = [ `Clean | `Legitimate | `Random ]
-
-(** One swarm configuration.  [plan] empty and [double_corrupt] off is
-    lockstep mode; a non-empty [plan] selects adversity mode;
-    [double_corrupt] selects the twin-engine decoupling oracle (then
-    [plan] and the schedule are ignored). *)
-type config = {
-  variant : variant;
-  init : init;
-  graph : Mdst_graph.Graph.t;
-  engine_seed : int;
-  plan : Mdst_sim.Fault.plan;
-  double_corrupt : bool;
-}
-
-(** A corpus entry: a configuration plus a delivery schedule in
-    {!Mdst_model.Model.event_to_string} vocabulary (["t3"] / ["0>2"]).
-    [steps] is the adaptive execution horizon; entries produced by the
-    fuzzer always have [steps = List.length sched] (every executed event
-    was recorded), so they replay strictly. *)
-type entry = { config : config; sched : string list; steps : int }
-
-val entry_to_string : entry -> string
-(** One line:
-    [variant=default;init=clean;n=5;ids=...;edges=0-1,...;seed=7;plan=...;
-    dc=1;steps=12;sched=t0,0>1,...] — [plan] / [dc] / [steps] / [sched]
-    omitted when empty, off, equal to the schedule length, or empty. *)
-
-val entry_of_string : string -> entry
-(** @raise Invalid_argument on malformed input. *)
-
-type trophy_kind = Divergence | Closure | Crash | Adversity | Decoupling
-
-val kind_to_string : trophy_kind -> string
-
-type trophy = { t_kind : trophy_kind; t_entry : entry; t_detail : string }
-
-val replay : entry -> (unit, trophy_kind * string) result
-(** Strict replay: re-execute the entry's schedule exactly, with every
-    oracle armed.  [Ok ()] for a clean run, [Error (kind, detail)] when
-    the failure reproduces.
-    @raise Failure when the schedule cannot be replayed as recorded: it
-    is empty, [steps] exceeds its length (the adaptive fallback is
-    disabled in replay), or a step is not eligible — e.g. it references
-    a channel that is empty or was purged. *)
+type trophy = { t_kind : Replay.kind; t_entry : Scenario.t; t_detail : string }
 
 val shrink_trophy : ?max_attempts:int -> trophy -> trophy
 (** Greedy minimization: drop schedule chunks, then fault-plan events,

@@ -1,51 +1,24 @@
 module Mutation = Mdst_util.Mutation
-module Graph = Mdst_graph.Graph
 
 type verdict = Detected of string | Silent of string
 
-type mutant = { name : string; source : string; probe : unit -> verdict }
+type mutant = { name : string; source : string; fixtures : string list }
 
-(* Each probe is the narrowest standing check that notices its bug: fixed
-   fixtures found by running the generating properties under the mutant and
-   keeping the shrunk reproducers, so [mdst_sim mutate] is fast and
-   deterministic rather than a fresh property search per run. *)
-
-let conformance_sweep (module C : Conformance.S) fixtures =
+(* Each mutant is caught by replaying fixed scenario lines — shrunk
+   reproducers found by running the generating properties under the
+   mutant — so [mdst_sim mutate] is fast and deterministic rather than a
+   fresh property search per run. *)
+let probe m =
   let rec go = function
-    | [] ->
-        Silent
-          (Printf.sprintf "lockstep conformance held across %d fixtures"
-             (List.length fixtures))
-    | f :: rest -> (
-        let report = C.run_case (Conformance.case_of_string f) in
-        match report.Conformance.divergence with
-        | Some d ->
-            Detected
-              (Printf.sprintf "divergence at event %d (%s): %s  [%s]"
-                 d.Conformance.index d.Conformance.event d.Conformance.detail
-                 f)
+    | [] -> Silent (Printf.sprintf "every oracle held across %d fixture(s)" (List.length m.fixtures))
+    | line :: rest -> (
+        match (Replay.replay (Scenario.of_string line)).failure with
+        | Some f -> Detected (Printf.sprintf "%s: %s  [%s]" (Replay.kind_to_string f.kind) f.detail line)
         | None -> go rest)
   in
-  go fixtures
+  go m.fixtures
 
 let k5 = "0-1,0-2,0-3,0-4,1-2,1-3,1-4,2-3,2-4,3-4"
-
-(* Random starts on K5 force degree-improving swaps, so Grants flow; long
-   event horizons make sure at least one Grant is delivered in-window. *)
-let grant_drop_fixtures =
-  [
-    Printf.sprintf "n=5;edges=%s;seed=11;init=random;events=8000" k5;
-    Printf.sprintf "n=5;edges=%s;seed=23;init=random;events=8000" k5;
-    Printf.sprintf "n=5;edges=%s;seed=47;init=random;events=8000" k5;
-  ]
-
-(* Clean starts quiesce quickly, so the 8-tick refresh boundary is reached
-   with an unchanged Info cache well inside the event budget. *)
-let suppression_fixtures =
-  [
-    "n=3;edges=0-1,1-2;seed=5;init=clean;events=400";
-    "n=4;edges=0-1,1-2,2-3,0-3;seed=9;init=clean;events=600";
-  ]
 
 (* Shrunk reproducer of the faults_pending race: a corruption window closes
    before its tampered message is delivered, so a stop check that ignores
@@ -53,62 +26,44 @@ let suppression_fixtures =
 let race_fixture =
   "n=5;ids=5,3,4,1,2;edges=0-1,0-4,1-2,1-3,1-4,2-3,3-4;seed=57795;plan=seed=338085|corrupt:383-387:1>3:0.73"
 
-let stop_check_race_probe () =
-  match
-    Convergence.Default.prop () (Convergence.case_of_string race_fixture)
-  with
-  | Error reason -> Detected reason
-  | Ok () -> Silent "convergence and closure hold on the stop-race fixture"
-
-module CE = Mdst_sim.Engine.Make (Mdst_core.Proto.Default)
-
-(* [corrupt ~channels:b] must advance the engine's own stream identically
-   for both values of [b]; if channel injection leaks draws from it, a
-   second corruption lands on different victims with different states. *)
-let corrupt_stream_probe () =
-  let mk () = CE.create ~seed:9 ~init:`Clean (Graph.complete 4) in
-  let e1 = mk () and e2 = mk () in
-  ignore (CE.corrupt e1 ~channels:false ());
-  ignore (CE.corrupt e1 ~channels:false ());
-  ignore (CE.corrupt e2 ~channels:true ());
-  ignore (CE.corrupt e2 ~channels:false ());
-  if CE.states e1 = CE.states e2 then
-    Silent "channel injection left the engine stream untouched"
-  else
-    Detected
-      "engine streams decoupled: a second corruption differs depending on \
-       whether the first one injected channels"
-
 let all =
   [
     {
       name = "grant-drop";
       source = "PR 1 lossy variant: Grants discarded on receipt, validated \
                 swaps never commit";
-      probe =
-        (fun () ->
-          conformance_sweep (module Conformance.Default) grant_drop_fixtures);
+      (* Random starts on K5 force degree-improving swaps, so Grants flow;
+         long event horizons make sure one is delivered in-window. *)
+      fixtures =
+        List.map
+          (fun seed -> Printf.sprintf "n=5;edges=%s;seed=%d;init=random;events=8000" k5 seed)
+          [ 11; 23; 47 ];
     };
     {
       name = "stop-check-race";
       source = "PR 1 harness race: stop predicate ran while scheduled or \
                 in-flight tampered faults were still pending";
-      probe = stop_check_race_probe;
+      fixtures = [ race_fixture ];
     };
     {
       name = "corrupt-shared-stream";
       source = "PR 2 schedule coupling: channel corruption drew from the \
                 engine's own stream";
-      probe = corrupt_stream_probe;
+      (* [corrupt ~channels:b] must advance the engine's own stream
+         identically for both values of [b]. *)
+      fixtures = [ "init=clean;n=4;edges=0-1,0-2,0-3,1-2,1-3,2-3;seed=9;dc=1" ];
     };
     {
       name = "suppression-no-refresh";
       source = "PR 3 failure mode: dirty-bit Info suppression without the \
                 periodic refresh";
-      probe =
-        (fun () ->
-          conformance_sweep (module Conformance.Suppressed)
-            suppression_fixtures);
+      (* Clean starts quiesce quickly, so the 8-tick refresh boundary is
+         reached with an unchanged Info cache well inside the budget. *)
+      fixtures =
+        [
+          "variant=suppressed;n=3;edges=0-1,1-2;seed=5;init=clean;events=400";
+          "variant=suppressed;n=4;edges=0-1,1-2,2-3,0-3;seed=9;init=clean;events=600";
+        ];
     };
   ]
 
@@ -137,9 +92,9 @@ let ok o = o.caught && o.clean
 let run (m : mutant) =
   Fun.protect ~finally:(fun () -> Mutation.force None) @@ fun () ->
   Mutation.force (Some [ m.name ]);
-  let on_v = m.probe () in
+  let on_v = probe m in
   Mutation.force (Some []);
-  let off_v = m.probe () in
+  let off_v = probe m in
   let detail = function Detected d | Silent d -> d in
   {
     name = m.name;

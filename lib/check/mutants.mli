@@ -15,16 +15,18 @@ type verdict = Detected of string | Silent of string
 type mutant = {
   name : string;  (** a {!Mdst_util.Mutation.names} slug *)
   source : string;  (** which historical bug this reintroduces *)
-  probe : unit -> verdict;
-      (** The detecting check, run under whatever mutant flags are
-          currently forced.  Deterministic: fixed fixtures, fixed seeds. *)
+  fixtures : string list;  (** {!Scenario} lines whose replay notices it *)
 }
+
+val probe : mutant -> verdict
+(** Replay the fixtures under whatever mutant flags are currently forced:
+    [Detected] at the first {!Replay.failure}.  Deterministic. *)
 
 val all : mutant list
 (** One mutant per {!Mdst_util.Mutation.names} slug, same order. *)
 
 val race_fixture : string
-(** The shrunk PR-4 stop-check-race reproducer (a {!Convergence} case
+(** The shrunk PR-4 stop-check-race reproducer (a {!Scenario.Converge}
     line): a corruption window that closes before its tampered message is
     delivered.  Exposed as the known-minimal fixture for shrinker
     idempotence tests. *)

@@ -1,19 +1,14 @@
 (* Conformance for the sharded parallel engine.  Two statements:
 
    1. Sharded-schedule conformance ([run_case]): record the merged
-      (time, shard, seq) schedule of a k-shard run, then
-        (a) replay it through the pure reference model starting from the
-            same initial configuration — every Deliver must hit a
-            non-empty channel whose head is the delivered message
-            (per-channel FIFO survived the sharding), and the final model
-            states must equal the parallel engine's; and
-        (b) replay it through the *sequential* engine via
-            [Engine.step_with] — every recorded event must be eligible
-            (armed tick / channel FIFO head), i.e. the merged order is a
-            schedule the sequential engine accepts, and the final states
-            must again match exactly.  The two engines share handler code
-            and per-node protocol streams, so (b) holds iff the sharding
-            changed nothing about *what* executed, only *where*.
+      (time, shard, seq) schedule of a k-shard run and replay it as a
+      strict lockstep scenario ({!Replay}) on the sequential engine: every
+      recorded event must be eligible there (armed tick / channel FIFO
+      head), every delivery must match the reference model's channel
+      head, every state the model's, and the final states must equal the
+      parallel engine's.  The two engines share handler code and per-node
+      protocol streams, so this holds iff the sharding changed nothing
+      about *what* executed, only *where*.
 
    2. Fingerprint equivalence ([fingerprint_equivalence]): converge the
       same (seed, init) under several shard counts and compare the
@@ -24,7 +19,6 @@
 
 module Graph = Mdst_graph.Graph
 module Model = Mdst_model.Model
-module State = Mdst_core.State
 module Checker = Mdst_core.Checker
 
 type case = {
@@ -42,112 +36,60 @@ type equiv = {
   agree : bool;
 }
 
-module Make (A : Mdst_sim.Node.AUTOMATON
-               with type state = Mdst_core.State.t
-                and type msg = Mdst_core.Msg.t) (P : sig
-  val params : Model.params
-end) =
-struct
-  module PE = Mdst_sim.Pengine.Make (A)
-  module E = Mdst_sim.Engine.Make (A)
-  module R = Mdst_core.Run.Runner (A)
+module A = (val Scenario.automaton `Default)
+module PE = Mdst_sim.Pengine.Make (A)
+module R = Mdst_core.Run.Runner (A)
 
-  exception Fail of string
+let run_case case =
+  let pe =
+    PE.create ~seed:case.seed ~init:(case.init :> PE.init) ~record:true ~domains:case.domains
+      case.graph
+  in
+  PE.run_window pe ~until:case.until;
+  let events =
+    Array.to_list (PE.schedule pe)
+    |> List.map (fun (_, ev) ->
+           match (ev : PE.sched_event) with
+           | PE.Sched_tick { node } -> Model.Tick node
+           | PE.Sched_deliver { src; dst } -> Model.Deliver { src; dst })
+  in
+  let n = List.length events in
+  let scenario =
+    {
+      Scenario.variant = `Default;
+      init = (case.init :> Scenario.init);
+      graph = case.graph;
+      seed = case.seed;
+      oracle = Scenario.Lockstep;
+      schedule = Scenario.Events { events; steps = n };
+    }
+  in
+  let failure =
+    match Replay.replay scenario with
+    | exception Failure why -> Some ("sequential engine rejected the schedule: " ^ why)
+    | { failure = Some f; _ } -> Some f.detail
+    | v -> (
+        let final = PE.states pe in
+        match List.find_opt (fun i -> final.(i) <> v.states.(i)) (List.init (Graph.n case.graph) Fun.id) with
+        | Some i -> Some (Printf.sprintf "sequential replay final state differs at node %d after %d events" i n)
+        | None -> None)
+  in
+  { events = n; failure }
 
-  let failf fmt = Printf.ksprintf (fun s -> raise (Fail s)) fmt
-
-  let first_state_mismatch (a : State.t array) (b : State.t array) =
-    let rec go v =
-      if v >= Array.length a then -1 else if a.(v) <> b.(v) then v else go (v + 1)
-    in
-    go 0
-
-  let replay_model case ~init_states ~init_inflight ~sched ~final =
-    let model =
-      ref (Model.make ~params:P.params ~states:init_states ~in_flight:init_inflight case.graph)
-    in
-    Array.iteri
-      (fun i (_, ev) ->
-        let event =
-          match (ev : PE.sched_event) with
-          | PE.Sched_tick { node } -> Model.Tick node
-          | PE.Sched_deliver { src; dst } -> Model.Deliver { src; dst }
-        in
-        match Model.step !model event with
-        | m -> model := m
-        | exception Invalid_argument msg ->
-            failf "model rejected event %d/%d (%s): %s" (i + 1) (Array.length sched)
-              (Model.event_to_string event) msg)
-      sched;
-    let v = first_state_mismatch final !model.Model.nodes in
-    if v >= 0 then
-      failf "model final state differs at node %d after %d events" v (Array.length sched)
-
-  let replay_sequential case ~sched ~final =
-    let init = (case.init :> E.init) in
-    let engine = E.create ~seed:case.seed ~init case.graph in
-    Array.iteri
-      (fun i (_, ev) ->
-        let matches (o : E.choice) =
-          match ((ev : PE.sched_event), o) with
-          | PE.Sched_tick { node }, E.Choose_tick t -> t.node = node
-          | PE.Sched_deliver { src; dst }, E.Choose_deliver d -> d.src = src && d.dst = dst
-          | _ -> false
-        in
-        let choose options =
-          let rec find j =
-            if j >= Array.length options then
-              failf "sequential engine rejected event %d/%d: not eligible" (i + 1)
-                (Array.length sched)
-            else if matches options.(j) then j
-            else find (j + 1)
-          in
-          find 0
-        in
-        if not (E.step_with engine ~choose) then
-          failf "sequential engine ran dry at event %d/%d" (i + 1) (Array.length sched))
-      sched;
-    let v = first_state_mismatch final (E.states engine) in
-    if v >= 0 then
-      failf "sequential replay final state differs at node %d after %d events" v
-        (Array.length sched)
-
-  let run_case case =
-    let init = (case.init :> PE.init) in
-    let pe = PE.create ~seed:case.seed ~init ~record:true ~domains:case.domains case.graph in
-    let init_states = Array.copy (PE.states pe) in
-    let init_inflight = PE.in_flight pe in
-    PE.run_window pe ~until:case.until;
-    let sched = PE.schedule pe in
-    let final = Array.copy (PE.states pe) in
-    let failure =
-      try
-        replay_model case ~init_states ~init_inflight ~sched ~final;
-        replay_sequential case ~sched ~final;
-        None
-      with Fail s -> Some s
-    in
-    { events = Array.length sched; failure }
-
-  let fingerprint_equivalence ?quiet_rounds ?(max_rounds = 60_000) ?window ~seed ~init
-      ~domains graph =
-    let per_domain =
-      List.map
-        (fun d ->
-          let e = R.make_pengine ~seed ~init:(init :> Mdst_core.Run.init) ~domains:d graph in
-          let stop = R.make_pstop ?quiet_rounds () in
-          let o = R.Pengine.run e ~max_rounds ?window ~stop () in
-          (d, o.R.Pengine.converged, Checker.fingerprint (R.Pengine.states e)))
-        domains
-    in
-    let agree =
-      match per_domain with
-      | [] -> true
-      | (_, c0, fp0) :: rest -> List.for_all (fun (_, c, fp) -> c = c0 && fp = fp0) rest
-    in
-    { per_domain; agree }
-end
-
-module Default = Make (Mdst_core.Proto.Default) (struct
-  let params = Model.default
-end)
+let fingerprint_equivalence ?quiet_rounds ?(max_rounds = 60_000) ?window ~seed ~init ~domains
+    graph =
+  let per_domain =
+    List.map
+      (fun d ->
+        let e = R.make_pengine ~seed ~init:(init :> Mdst_core.Run.init) ~domains:d graph in
+        let stop = R.make_pstop ?quiet_rounds () in
+        let o = R.Pengine.run e ~max_rounds ?window ~stop () in
+        (d, o.R.Pengine.converged, Checker.fingerprint (R.Pengine.states e)))
+      domains
+  in
+  let agree =
+    match per_domain with
+    | [] -> true
+    | (_, c0, fp0) :: rest -> List.for_all (fun (_, c, fp) -> c = c0 && fp = fp0) rest
+  in
+  { per_domain; agree }

@@ -1,12 +1,12 @@
 (** Conformance checks for the sharded parallel engine ({!Mdst_sim.Pengine}).
 
     [run_case] records the merged [(time, shard, seq)] schedule of a
-    k-shard run and replays it twice: through the pure reference model
-    (FIFO feasibility + final-state equality, as in {!Conformance}) and
-    through the sequential engine's [step_with] (every recorded event must
-    be eligible, and the final states must match exactly — the two engines
-    share handler code and per-node protocol streams, so acceptance means
-    the sharding changed nothing about what executed).
+    k-shard run of the default protocol and replays it as a strict
+    {!Scenario.Lockstep} scenario through {!Replay}: every recorded event
+    must be eligible on the sequential engine and conform to the reference
+    model, and the final states must equal the parallel engine's — the two
+    engines share handler code and per-node protocol streams, so
+    acceptance means the sharding changed nothing about what executed.
 
     [fingerprint_equivalence] converges one (seed, init) under several
     shard counts and requires identical quiescence fingerprints — the
@@ -31,34 +31,14 @@ type equiv = {
   agree : bool;
 }
 
-module Make (A : Mdst_sim.Node.AUTOMATON
-               with type state = Mdst_core.State.t
-                and type msg = Mdst_core.Msg.t) (_ : sig
-  val params : Mdst_model.Model.params
-end) : sig
-  val run_case : case -> report
+val run_case : case -> report
 
-  val fingerprint_equivalence :
-    ?quiet_rounds:int ->
-    ?max_rounds:int ->
-    ?window:float ->
-    seed:int ->
-    init:[ `Clean | `Random ] ->
-    domains:int list ->
-    Mdst_graph.Graph.t ->
-    equiv
-end
-
-module Default : sig
-  val run_case : case -> report
-
-  val fingerprint_equivalence :
-    ?quiet_rounds:int ->
-    ?max_rounds:int ->
-    ?window:float ->
-    seed:int ->
-    init:[ `Clean | `Random ] ->
-    domains:int list ->
-    Mdst_graph.Graph.t ->
-    equiv
-end
+val fingerprint_equivalence :
+  ?quiet_rounds:int ->
+  ?max_rounds:int ->
+  ?window:float ->
+  seed:int ->
+  init:[ `Clean | `Random ] ->
+  domains:int list ->
+  Mdst_graph.Graph.t ->
+  equiv

@@ -82,19 +82,17 @@ let remove_edge g (u, v) =
   let ids = Array.init n (Graph.id g) in
   Graph.of_edges ~ids ~n edges
 
+let edge_deletions g =
+  let bridges = Mdst_graph.Algo.bridges g in
+  Array.to_seq (Graph.edges g)
+  |> Seq.filter (fun e -> not (List.mem e bridges))
+  |> Seq.map (remove_edge g)
+
+let vertex_deletions g =
+  Seq.filter_map (fun v -> Option.map (fun c -> (v, c)) (remove_vertex g v)) (Seq.init (Graph.n g) Fun.id)
+
 let graph g =
-  let raw g =
-    let vertex_deletions =
-      Seq.filter_map (fun v -> remove_vertex g v) (Seq.init (Graph.n g) (fun v -> v))
-    in
-    let edge_deletions =
-      let bridges = Mdst_graph.Algo.bridges g in
-      Array.to_seq (Graph.edges g)
-      |> Seq.filter (fun e -> not (List.mem e bridges))
-      |> Seq.map (remove_edge g)
-    in
-    Seq.append vertex_deletions edge_deletions
-  in
+  let raw g = Seq.append (Seq.map snd (vertex_deletions g)) (edge_deletions g) in
   strictly ~size:(fun g -> Graph.n g + Graph.m g) raw g
 
 let plan (p : Fault.plan) =
@@ -119,3 +117,41 @@ let remap_plan_without_vertex ~removed (p : Fault.plan) =
     | Link f -> Link { f with u = rename f.u; v = rename f.v }
   in
   { p with Fault.events = List.map rename_event (List.filter keep p.Fault.events) }
+
+let scenario (s : Scenario.t) =
+  let plan_events = function Scenario.Converge p -> List.length p.Fault.events | _ -> 0 in
+  let size (s : Scenario.t) =
+    (match s.schedule with Scenario.Natural k -> k | Scenario.Events e -> List.length e.events)
+    + Graph.n s.graph + Graph.m s.graph + plan_events s.oracle
+  in
+  let raw (s : Scenario.t) =
+    match s.schedule with
+    | Scenario.Events _ -> Seq.empty
+    | Scenario.Natural k ->
+        (* Fewer events first: a prefix of the engine's schedule for a
+           fixed (graph, seed, init) is a fixed sequence. *)
+        let fewer =
+          Seq.filter_map
+            (fun e -> if e >= 1 && e < k then Some { s with schedule = Scenario.Natural e } else None)
+            (int ~towards:1 k)
+        in
+        let vertices =
+          Seq.map
+            (fun (v, graph) ->
+              let oracle =
+                match s.oracle with
+                | Scenario.Converge p -> Scenario.Converge (remap_plan_without_vertex ~removed:v p)
+                | o -> o
+              in
+              { s with graph; oracle })
+            (vertex_deletions s.graph)
+        in
+        let plans =
+          match s.oracle with
+          | Scenario.Converge p -> Seq.map (fun p -> { s with oracle = Scenario.Converge p }) (plan p)
+          | Scenario.Lockstep | Scenario.Decouple -> Seq.empty
+        in
+        let edges = Seq.map (fun graph -> { s with graph }) (edge_deletions s.graph) in
+        Seq.append fewer (Seq.append vertices (Seq.append plans edges))
+  in
+  strictly ~size raw s

@@ -48,3 +48,11 @@ val remove_vertex : Mdst_graph.Graph.t -> int -> Mdst_graph.Graph.t option
 (** [remove_vertex g v] — [g] minus vertex [v] (dense renumbering, ids
     kept), or [None] if the result would be disconnected or smaller than 2
     nodes.  Exposed for joint graph + plan shrinking. *)
+
+val scenario : Scenario.t t
+(** For a scenario on the engine's own order: fewer events (bisection
+    towards 1), then vertex deletions (the fault plan renumbered
+    coherently), then fault-plan events, then non-bridge edges.  Every
+    candidate replays from the scenario's seed; any failing candidate is a
+    valid counterexample.  A scenario with an explicit event list has no
+    candidates here — deleting a vertex would invalidate its events. *)

@@ -5,6 +5,7 @@
 module Prng = Mdst_util.Prng
 module Graph = Mdst_graph.Graph
 module Fault = Mdst_sim.Fault
+module Model = Mdst_model.Model
 
 type packed = Pack : 'a Property.t -> packed
 
@@ -179,24 +180,52 @@ let plan_horizon =
         Error "negative node mentioned"
       else Ok ())
 
+(* Scenarios of every oracle, variant, init and schedule shape. *)
+let scenario_gen rng =
+  let graph = Gen.connected_graph () (Prng.split rng) in
+  let n = Graph.n graph in
+  let pick l = List.nth l (Prng.int rng (List.length l)) in
+  let oracle =
+    match Prng.int rng 3 with
+    | 0 -> Scenario.Lockstep
+    | 1 -> Scenario.Converge (Gen.fault_plan ~graph () (Prng.split rng))
+    | _ -> Scenario.Decouple
+  in
+  let schedule =
+    if Prng.bool rng then Scenario.Natural (Prng.int rng 500)
+    else
+      let event () =
+        if Prng.bool rng then Model.Tick (Prng.int rng n)
+        else
+          let u, v = Prng.choose rng (Graph.edges graph) in
+          Model.Deliver { src = u; dst = v }
+      in
+      let events = List.init (Prng.int rng 20) (fun _ -> event ()) in
+      Scenario.Events { events; steps = List.length events + pick [ 0; Prng.int rng 50 ] }
+  in
+  {
+    Scenario.variant = pick [ `Default; `Suppressed; `Broken ];
+    init = pick [ `Clean; `Legitimate; `Random ];
+    graph;
+    seed = Prng.int rng 1_000_000;
+    oracle;
+    schedule;
+  }
+
 let case_roundtrip =
-  Property.make ~name:"faults:case-roundtrip"
-    ~gen:(Convergence.gen_case ())
-    ~shrink:Convergence.shrink_case ~print:Convergence.case_to_string
-    (fun c ->
-      let back = Convergence.case_of_string (Convergence.case_to_string c) in
-      if
-        graph_equal c.Convergence.graph back.Convergence.graph
-        && back.Convergence.plan = c.Convergence.plan
-        && back.Convergence.seed = c.Convergence.seed
-      then Ok ()
-      else Error "case_of_string (case_to_string c) differs from c")
+  Property.make ~name:"faults:case-roundtrip" ~gen:scenario_gen ~print:Scenario.to_string
+    (fun s ->
+      let line = Scenario.to_string s in
+      let back = Scenario.of_string line in
+      if not (graph_equal s.graph back.graph && { back with graph = s.graph } = s) then
+        Error "of_string (to_string s) differs from s"
+      else if Scenario.to_string back <> line then Error "printing is not a fixpoint of parsing"
+      else Ok ())
 
 let faults = [ Pack plan_roundtrip; Pack plan_horizon; Pack case_roundtrip ]
 
 (* ---------------- model ---------------- *)
 
-module Model = Mdst_model.Model
 module Projection = Mdst_core.Projection
 
 (* A small engine exists here only to manufacture realistic configurations
@@ -204,20 +233,20 @@ module Projection = Mdst_core.Projection
    themselves are pure [Model.step] iteration. *)
 module ME = Mdst_sim.Engine.Make (Mdst_core.Proto.Default)
 
-let seed_model (c : Conformance.case) =
-  let init = match c.Conformance.init with `Clean -> `Clean | `Random -> `Random in
-  let e = ME.create ~seed:c.Conformance.seed ~init c.Conformance.graph in
-  Model.make ~params:Model.default ~states:(ME.states e) ~in_flight:(ME.in_flight e)
-    c.Conformance.graph
+let seed_model (c : Scenario.t) =
+  let init = match c.init with `Random -> `Random | `Clean | `Legitimate -> `Clean in
+  let e = ME.create ~seed:c.seed ~init c.graph in
+  Model.make ~params:Model.default ~states:(ME.states e) ~in_flight:(ME.in_flight e) c.graph
 
 (* Walk [steps] uniformly random enabled events (every tick, every
    non-empty channel head), calling [f] on each configuration/event pair
    before stepping.  Event choice derives from the case seed only, so a
    case string replays the walk. *)
-let walk_model (c : Conformance.case) f =
-  let rng = Prng.create (c.Conformance.seed lxor 0x5eed) in
+let walk_model (c : Scenario.t) f =
+  let rng = Prng.create (c.seed lxor 0x5eed) in
   let cur = ref (seed_model c) in
-  for _ = 1 to c.Conformance.events do
+  let events = match c.schedule with Scenario.Natural k -> k | Scenario.Events e -> e.steps in
+  for _ = 1 to events do
     let n = Graph.n (!cur).Model.graph in
     let delivers =
       Model.nonempty_channels !cur
@@ -230,11 +259,11 @@ let walk_model (c : Conformance.case) f =
   done;
   !cur
 
-let model_gen = Conformance.gen_case ~min_n:3 ~max_n:7 ~max_events:60 ()
+let model_gen = Conformance.gen_case ~min_n:3 ~max_n:7 ~max_events:60 `Default
 
 let model_step_determinism =
   Property.make ~name:"model:step-determinism" ~gen:model_gen
-    ~shrink:Conformance.shrink_case ~print:Conformance.case_to_string
+    ~shrink:Shrink.scenario ~print:Scenario.to_string
     (fun c ->
       let bad = ref None in
       ignore
@@ -248,7 +277,7 @@ let model_step_determinism =
 
 let model_projection_roundtrip =
   Property.make ~name:"model:projection-roundtrip" ~gen:model_gen
-    ~shrink:Conformance.shrink_case ~print:Conformance.case_to_string
+    ~shrink:Shrink.scenario ~print:Scenario.to_string
     (fun c ->
       let bad = ref false in
       ignore
@@ -266,7 +295,7 @@ let model_fingerprint_stability =
      from the hash so post-convergence quiescence stays detectable) never
      influence it. *)
   Property.make ~name:"model:fingerprint-stability" ~gen:model_gen
-    ~shrink:Conformance.shrink_case ~print:Conformance.case_to_string
+    ~shrink:Shrink.scenario ~print:Scenario.to_string
     (fun c ->
       let bad = ref None in
       ignore
@@ -297,8 +326,8 @@ let model =
     Pack model_step_determinism;
     Pack model_projection_roundtrip;
     Pack model_fingerprint_stability;
-    Pack (Conformance.Default.property ~max_n:6 ~max_events:150 ());
-    Pack (Conformance.Suppressed.property ~max_n:6 ~max_events:150 ());
+    Pack (Conformance.property ~max_n:6 ~max_events:150 `Default);
+    Pack (Conformance.property ~max_n:6 ~max_events:150 `Suppressed);
   ]
 
 (* ---------------- proto ---------------- *)

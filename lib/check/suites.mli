@@ -24,16 +24,17 @@ val graph : packed list
     {!Shrink.graph} candidates stay connected. *)
 
 val faults : packed list
-(** Reproducer formats: {!Mdst_sim.Fault} plan and {!Convergence} case
-    strings parse back to equal values; generated plans respect the
-    horizon. *)
+(** Reproducer formats: {!Mdst_sim.Fault} plans and {!Scenario} lines of
+    every oracle, variant, init and schedule shape parse back to equal
+    values (and printing is a fixpoint of parsing); generated plans
+    respect the horizon. *)
 
 val model : packed list
 (** {!Mdst_model.Model} and its checking stack: [step] determinism over
     random enabled-event walks, {!Mdst_core.Projection} string round-trip,
     fingerprint consistency (allocation-free hash = projection hash, phase
     bits excluded), and the {!Conformance} lockstep property for both the
-    Default and Suppressed variants. *)
+    default and suppressed variants. *)
 
 val proto : packed list
 (** {!Searchpath}: a completed fundamental-cycle Search reports the exact

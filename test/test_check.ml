@@ -9,6 +9,7 @@ module Gen = Mdst_check.Gen
 module Shrink = Mdst_check.Shrink
 module Property = Mdst_check.Property
 module Suites = Mdst_check.Suites
+module Scenario = Mdst_check.Scenario
 
 let check = Alcotest.(check bool)
 
@@ -144,50 +145,71 @@ let test_remap_plan_without_vertex () =
 let test_shrink_case_joint () =
   (* A shrunk (graph, plan) pair must stay self-consistent: every plan
      event references nodes that exist in the shrunk graph. *)
-  let module C = Mdst_check.Convergence in
   let case =
-    C.case_of_string
+    Scenario.of_string
       "n=5;edges=0-1,1-2,2-3,3-4,0-4,1-3;seed=11;plan=seed=2|drop:0-20:1>2:0.5|crash:9:4:random|cut:5:1-3"
   in
   Seq.iter
-    (fun (c : C.case) ->
-      check "candidate graph connected" true (Mdst_graph.Algo.is_connected c.C.graph);
-      check "plan references only live nodes" true
-        (List.for_all
-           (fun v -> v >= 0 && v < Graph.n c.C.graph)
-           (Fault.nodes_mentioned c.C.plan)))
-    (C.shrink_case case)
+    (fun (c : Scenario.t) ->
+      check "candidate graph connected" true (Mdst_graph.Algo.is_connected c.graph);
+      match c.oracle with
+      | Scenario.Converge plan ->
+          check "plan references only live nodes" true
+            (List.for_all (fun v -> v >= 0 && v < Graph.n c.graph) (Fault.nodes_mentioned plan))
+      | Scenario.Lockstep | Scenario.Decouple -> Alcotest.fail "shrinking changed the oracle")
+    (Shrink.scenario case)
 
 (* ---------------- reproducer format ---------------- *)
 
+(* Lines in the three historical grammars (conformance, convergence,
+   fuzzer) all read as scenarios, and printing is a fixpoint of parsing. *)
 let test_case_print_parse_fixpoint () =
-  let module C = Mdst_check.Convergence in
   let lines =
     [
       "n=4;edges=0-1,1-2,2-3,0-3;seed=7;plan=seed=3|drop:0-10:0>1:0.5";
       "n=4;ids=2,0,3,1;edges=0-1,1-2,2-3;seed=1;plan=seed=0";
       "n=3;edges=0-1,1-2;seed=0;plan=seed=9|dup:3-4:1>0:0.75:2|crash:5:2:init";
+      "n=4;edges=0-1,1-2,2-3,0-3;seed=7;init=random;events=40";
+      "n=3;ids=2,0,1;edges=0-1,1-2;seed=1;init=clean;events=5";
+      "variant=default;init=clean;n=3;edges=0-1,0-2,1-2;seed=7;sched=t0,t1,0>1";
+      "variant=suppressed;init=random;n=4;ids=3,0,2,1;edges=0-1,1-2,2-3;seed=1;\
+       plan=seed=5|corrupt:3-9:1>2:0.5;steps=4;sched=t0,t1,0>1,t2";
+      "variant=default;init=legitimate;n=3;edges=0-1,1-2;seed=2;dc=1";
     ]
   in
   List.iter
     (fun line ->
-      let once = C.case_to_string (C.case_of_string line) in
-      let twice = C.case_to_string (C.case_of_string once) in
+      let once = Scenario.to_string (Scenario.of_string line) in
+      let twice = Scenario.to_string (Scenario.of_string once) in
       Alcotest.(check string) "printing is a fixpoint of parsing" once twice)
-    lines
+    lines;
+  let oracle line = (Scenario.of_string line).oracle in
+  check "plan= means the convergence oracle" true
+    (oracle "n=4;ids=2,0,3,1;edges=0-1,1-2,2-3;seed=1;plan=seed=0" = Scenario.Converge Fault.empty);
+  check "dc=1 means decoupling" true
+    (oracle "variant=default;init=legitimate;n=3;edges=0-1,1-2;seed=2;dc=1" = Scenario.Decouple);
+  check "no init= means random" true
+    ((Scenario.of_string "n=3;edges=0-1,1-2;seed=1;plan=seed=0").init = `Random)
 
 let test_case_rejects_malformed () =
-  let module C = Mdst_check.Convergence in
   let rejects s =
     try
-      ignore (C.case_of_string s);
+      ignore (Scenario.of_string s);
       false
     with Invalid_argument _ -> true
   in
   check "empty" true (rejects "");
   check "missing edges" true (rejects "n=4;seed=1;plan=seed=0");
   check "bad edge" true (rejects "n=4;edges=0~1;seed=1;plan=seed=0");
-  check "unknown key" true (rejects "n=4;edges=0-1;wat=1")
+  check "unknown key" true (rejects "n=4;edges=0-1;wat=1");
+  check "bad init" true (rejects "n=3;edges=0-1,1-2;seed=1;init=wat;events=5");
+  check "bad events" true (rejects "n=3;edges=0-1,1-2;seed=1;init=clean;events=-2");
+  check "bad variant" true (rejects "variant=wat;init=clean;n=3;edges=0-1,1-2;seed=1");
+  check "bad sched token" true
+    (rejects "variant=default;init=clean;n=3;edges=0-1,1-2;seed=1;sched=xyz");
+  (* omitted events falls back to the documented default *)
+  check "events default" true
+    ((Scenario.of_string "n=3;edges=0-1,1-2;seed=1;init=clean").schedule = Scenario.Natural 100)
 
 (* ---------------- protocol properties ---------------- *)
 
@@ -209,8 +231,7 @@ let test_searchpath_not_vacuous () =
    this validates that the bounded-staleness refresh preserves
    self-stabilization (tentpole acceptance gate). *)
 let test_suppressed_convergence () =
-  let module C = Mdst_check.Convergence in
-  let property = C.Suppressed.property ~max_n:7 ~max_events:3 () in
+  let property = Mdst_check.Convergence.property ~max_n:7 ~max_events:3 `Suppressed in
   match Property.check ~tests:6 ~seed:20090525 property with
   | Property.Passed _ -> ()
   | Property.Falsified c ->
@@ -218,62 +239,27 @@ let test_suppressed_convergence () =
 
 (* ---------------- conformance / explorer / mutants ---------------- *)
 
-let test_conformance_format () =
-  let module Cf = Mdst_check.Conformance in
-  let lines =
-    [
-      "n=4;edges=0-1,1-2,2-3,0-3;seed=7;init=random;events=40";
-      "n=3;ids=2,0,1;edges=0-1,1-2;seed=1;init=clean;events=5";
-    ]
-  in
-  List.iter
-    (fun line ->
-      let once = Cf.case_to_string (Cf.case_of_string line) in
-      let twice = Cf.case_to_string (Cf.case_of_string once) in
-      Alcotest.(check string) "printing is a fixpoint of parsing" once twice)
-    lines;
-  let rejects s =
-    try
-      ignore (Cf.case_of_string s);
-      false
-    with Invalid_argument _ -> true
-  in
-  check "empty" true (rejects "");
-  check "bad init" true (rejects "n=3;edges=0-1,1-2;seed=1;init=wat;events=5");
-  check "bad events" true (rejects "n=3;edges=0-1,1-2;seed=1;init=clean;events=-2");
-  (* omitted events falls back to the documented default *)
-  Alcotest.(check int) "events default" 100
-    (Cf.case_of_string "n=3;edges=0-1,1-2;seed=1;init=clean").Cf.events
-
 (* A long adversarial-start lockstep run on K5: enough events to cover
    every message family, including the Remove/Grant/Reverse swap pass. *)
 let test_conformance_lockstep () =
-  let module Cf = Mdst_check.Conformance in
-  let case =
-    Cf.case_of_string
-      "n=5;edges=0-1,0-2,0-3,0-4,1-2,1-3,1-4,2-3,2-4,3-4;seed=3;init=random;events=1500"
-  in
-  let r = Cf.Default.run_case case in
-  Alcotest.(check int) "all events ran" 1500 r.Cf.events_run;
-  match r.Cf.divergence with
-  | None -> ()
-  | Some d ->
-      Alcotest.failf "divergence at event %d (%s): %s" d.Cf.index d.Cf.event
-        d.Cf.detail
+  let module Rp = Mdst_check.Replay in
+  let v = Rp.replay (Scenario.of_string Pinned.k5_lockstep) in
+  Alcotest.(check int) "all events ran" 1500 (List.length v.Rp.executed);
+  match v.Rp.failure with None -> () | Some f -> Alcotest.fail f.Rp.detail
 
 let test_explore_smoke () =
   let module X = Mdst_check.Explore in
   let g = Graph.of_edges ~n:3 [ (0, 1); (1, 2); (0, 2) ] in
   List.iter
     (fun init ->
-      let stats, vio = X.Default.dfs ~max_depth:6 ~max_configs:2_000 ~init g in
+      let stats, vio = X.dfs ~max_depth:6 ~max_configs:2_000 ~variant:`Default ~init g in
       check "explored more than the root" true (stats.X.configs > 1);
       match vio with
       | None -> ()
       | Some v ->
           Alcotest.failf "violation: %s" (Format.asprintf "%a" X.pp_violation v))
     [ `Clean; `Legitimate; `Random 4 ];
-  match X.Default.walk ~steps:200 ~seed:11 ~init:`Random g with
+  match X.walk ~steps:200 ~variant:`Default ~seed:11 ~init:`Random g with
   | Ok n -> Alcotest.(check int) "walk ran all steps" 200 n
   | Error e -> Alcotest.fail ("lockstep walk diverged: " ^ e)
 
@@ -284,7 +270,7 @@ let test_explore_walk_catches_mutant () =
   let g = Graph.of_edges ~n:3 [ (0, 1); (1, 2) ] in
   Fun.protect ~finally:(fun () -> Mutation.force None) @@ fun () ->
   Mutation.force (Some [ "suppression-no-refresh" ]);
-  match X.Suppressed.walk ~steps:300 ~seed:5 ~init:`Clean g with
+  match X.walk ~steps:300 ~variant:`Suppressed ~seed:5 ~init:`Clean g with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "suppression mutant not caught by the lockstep walk"
 
@@ -320,7 +306,7 @@ let test_parcheck_conformance () =
      with exact final-state equality. *)
   let g = Mdst_graph.Gen.grid ~rows:3 ~cols:3 in
   let r =
-    Parcheck.Default.run_case
+    Parcheck.run_case
       { Parcheck.graph = g; seed = 7; init = `Random; domains = 2; until = 25.0 }
   in
   (match r.Parcheck.failure with
@@ -331,7 +317,7 @@ let test_parcheck_conformance () =
 let test_parcheck_fingerprints () =
   let g = Mdst_graph.Gen.grid ~rows:3 ~cols:3 in
   let eq =
-    Parcheck.Default.fingerprint_equivalence ~max_rounds:20_000 ~seed:7 ~init:`Random
+    Parcheck.fingerprint_equivalence ~max_rounds:20_000 ~seed:7 ~init:`Random
       ~domains:[ 1; 2; 4 ] g
   in
   List.iter
@@ -376,7 +362,6 @@ let () =
         ] );
       ( "conformance",
         [
-          Alcotest.test_case "case print/parse fixpoint" `Quick test_conformance_format;
           Alcotest.test_case "lockstep on K5 adversarial start" `Quick
             test_conformance_lockstep;
         ] );

@@ -309,71 +309,61 @@ let test_reshape () =
     (Invalid_argument "Engine.reshape: graph must stay connected") (fun () ->
       E.reshape e (Graph.of_edges ~n:3 [ (0, 1) ]))
 
-(* ---------------- exact-replay regression matrix ----------------
+(* ---------------- exact-replay regression matrix ---------------- *)
 
-   Pinned end-to-end outcomes for the real protocol under fixed
-   (topology, plan, seed) triples.  Any change to the engine's event
-   ordering, the fault interpreter or the protocol shifts these numbers —
-   that is the point: fault executions must replay bit-identically. *)
-
-module C = Mdst_check.Convergence
-
-let matrix =
-  [
-    ( "ring8 drop+crash",
-      "n=8;edges=0-1,1-2,2-3,3-4,4-5,5-6,6-7,0-7;seed=5;plan=seed=2|drop:0-80:0>1:0.5|crash:60:3:random",
-      (* rounds, degree, drops+corruptions+cuts, crashes+reorders+links *)
-      (124, 2, 46, 1) );
-    ( "petersen cut+link",
-      "n=10;edges=0-1,1-2,2-3,3-4,0-4,0-5,1-6,2-7,3-8,4-9,5-7,7-9,9-6,6-8,8-5;seed=9;plan=seed=4|cut:40:0-1|link:90:0-2",
-      (284, 2, 1, 1) );
-    ( "grid9 corrupt+reorder",
-      "n=9;edges=0-1,1-2,3-4,4-5,6-7,7-8,0-3,3-6,1-4,4-7,2-5,5-8;seed=13;plan=seed=8|corrupt:0-60:4>1:0.75|reorder:0-120:1>4:0.5:6",
-      (174, 2, 56, 111) );
-  ]
+module Scenario = Mdst_check.Scenario
+module Replay = Mdst_check.Replay
 
 let test_fault_matrix () =
   List.iter
     (fun (label, case_line, (rounds, degree, a, b)) ->
-      let r = C.Default.run_case (C.case_of_string case_line) in
-      check (label ^ ": converged") true r.C.converged;
-      check (label ^ ": closure") true r.C.closure_ok;
-      Alcotest.(check int) (label ^ ": exact rounds") rounds r.C.rounds;
-      Alcotest.(check (option int)) (label ^ ": exact degree") (Some degree) r.C.degree;
-      Alcotest.(check int) (label ^ ": fault count a") a
-        (r.C.stats.Fault.drops + r.C.stats.Fault.corruptions + r.C.stats.Fault.cuts);
-      Alcotest.(check int) (label ^ ": fault count b") b
-        (r.C.stats.Fault.crashes + r.C.stats.Fault.reorders + r.C.stats.Fault.links))
-    matrix
+      match (Replay.replay (Scenario.of_string case_line)).adversity with
+      | None -> Alcotest.fail (label ^ ": not a convergence scenario")
+      | Some r ->
+          check (label ^ ": converged") true r.converged;
+          check (label ^ ": closure") true r.closure_ok;
+          Alcotest.(check int) (label ^ ": exact rounds") rounds r.rounds;
+          Alcotest.(check (option int)) (label ^ ": exact degree") (Some degree) r.degree;
+          Alcotest.(check int) (label ^ ": fault count a") a
+            (r.stats.Fault.drops + r.stats.Fault.corruptions + r.stats.Fault.cuts);
+          Alcotest.(check int) (label ^ ": fault count b") b
+            (r.stats.Fault.crashes + r.stats.Fault.reorders + r.stats.Fault.links))
+    Pinned.fault_matrix
 
 (* ---------------- acceptance: the harness catches a broken variant ---- *)
 
-let small_budget = { C.settle_rounds = 1500; per_node_rounds = 150; closure_rounds = 60 }
+let small_budget = { Replay.settle_rounds = 1500; per_node_rounds = 150; closure_rounds = 60 }
 
 let test_broken_variant_caught () =
   let module P = Mdst_check.Property in
   let property =
-    C.Broken.property ~budget:small_budget ~min_n:4 ~max_n:10 ~max_events:5 ~horizon:300 ()
+    Mdst_check.Convergence.property ~budget:small_budget ~min_n:4 ~max_n:10 ~max_events:5
+      ~horizon:300 `Broken
   in
   match P.check ~tests:20 ~seed:7 property with
   | P.Passed _ -> Alcotest.fail "grant-dropping variant must be falsified"
-  | P.Falsified c ->
-      let case = C.case_of_string c.P.printed in
-      check "shrunk to at most 8 nodes" true (Graph.n case.C.graph <= 8);
-      check "shrunk to at most 5 fault events" true
-        (List.length case.C.plan.Fault.events <= 5);
-      (* The printed reproducer replays to the same verdict from its seed. *)
-      (match C.Broken.prop ~budget:small_budget () case with
+  | P.Falsified c -> (
+      let case = Scenario.of_string c.P.printed in
+      check "shrunk to at most 8 nodes" true (Graph.n case.graph <= 8);
+      (match case.oracle with
+      | Scenario.Converge plan ->
+          check "shrunk to at most 5 fault events" true (List.length plan.Fault.events <= 5)
+      | Scenario.Lockstep | Scenario.Decouple -> Alcotest.fail "not a convergence scenario");
+      (* The printed reproducer names its variant and replays to the same
+         verdict from its seed. *)
+      (match Replay.prop ~budget:small_budget case with
       | Error _ -> ()
       | Ok () -> Alcotest.fail "reproducer did not replay the failure");
       (* The real protocol is fine on the very same case. *)
-      match C.Default.prop ~budget:small_budget () case with
+      match Replay.prop ~budget:small_budget { case with variant = `Default } with
       | Ok () -> ()
-      | Error reason -> Alcotest.fail ("real protocol failed the shrunk case: " ^ reason)
+      | Error reason -> Alcotest.fail ("real protocol failed the shrunk case: " ^ reason))
 
 let test_honest_protocol_passes () =
   let module P = Mdst_check.Property in
-  let property = C.Default.property ~min_n:4 ~max_n:9 ~max_events:4 ~horizon:250 () in
+  let property =
+    Mdst_check.Convergence.property ~min_n:4 ~max_n:9 ~max_events:4 ~horizon:250 `Default
+  in
   match P.check ~tests:15 ~seed:7 property with
   | P.Passed _ -> ()
   | P.Falsified c -> Alcotest.fail (P.render ~name:property.P.name c)

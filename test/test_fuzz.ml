@@ -8,30 +8,38 @@ module Fault = Mdst_sim.Fault
 module Mutation = Mdst_util.Mutation
 module Shrink = Mdst_check.Shrink
 module Fuzz = Mdst_check.Fuzz
-module C = Mdst_check.Convergence
+module Scenario = Mdst_check.Scenario
+module Replay = Mdst_check.Replay
 
 let check = Alcotest.(check bool)
 
 (* ---------------- shrink idempotence (PR-4 race fixture) ---------------- *)
 
-let race_case () = C.case_of_string Mdst_check.Mutants.race_fixture
+let race_case () = Scenario.of_string Mdst_check.Mutants.race_fixture
+
+let race_plan () =
+  match (race_case ()).oracle with Scenario.Converge p -> p | _ -> Alcotest.fail "race fixture has no plan"
 
 (* The strictness contract directly: no shrinker offers its input back. *)
 let test_shrink_strictness () =
-  let case = race_case () in
-  let plan_str = Fault.to_string case.C.plan in
+  let case = race_case () and plan = race_plan () in
+  let plan_str = Fault.to_string plan in
   Seq.iter
     (fun p -> check "plan candidate differs from input" true (Fault.to_string p <> plan_str))
-    (Shrink.plan case.C.plan);
+    (Shrink.plan plan);
   Seq.iter
     (fun g ->
       check "graph candidate strictly smaller" true
-        (Graph.n g + Graph.m g < Graph.n case.C.graph + Graph.m case.C.graph))
-    (Shrink.graph case.C.graph);
+        (Graph.n g + Graph.m g < Graph.n case.graph + Graph.m case.graph))
+    (Shrink.graph case.graph);
+  let line = Scenario.to_string case in
+  Seq.iter
+    (fun c -> check "scenario candidate differs from input" true (Scenario.to_string c <> line))
+    (Shrink.scenario case);
   (* A single-event plan must still offer the empty plan — otherwise
      "minimal" silently means "at least one event". *)
   check "singleton plan shrinks to empty" true
-    (Seq.exists (fun p -> Fault.is_empty p) (Shrink.plan case.C.plan))
+    (Seq.exists (fun p -> Fault.is_empty p) (Shrink.plan plan))
 
 (* Greedy minimization is idempotent: once no candidate of a case still
    fails, re-shrinking returns the case unchanged.  Exercised on the PR-4
@@ -39,17 +47,17 @@ let test_shrink_strictness () =
 let test_shrink_idempotent_on_race () =
   Fun.protect ~finally:(fun () -> Mutation.force None) @@ fun () ->
   Mutation.force (Some [ "stop-check-race" ]);
-  let fails case = Result.is_error (C.Default.prop () case) in
+  let fails case = Result.is_error (Replay.prop case) in
   check "race fixture still fails under its mutant" true (fails (race_case ()));
   let rec minimize case =
-    match Seq.find fails (C.shrink_case case) with
+    match Seq.find fails (Shrink.scenario case) with
     | Some smaller -> minimize smaller
     | None -> case
   in
   let m1 = minimize (race_case ()) in
   let m2 = minimize m1 in
   Alcotest.(check string) "re-shrinking the minimum returns it unchanged"
-    (C.case_to_string m1) (C.case_to_string m2);
+    (Scenario.to_string m1) (Scenario.to_string m2);
   check "minimum still fails" true (fails m2)
 
 (* ---------------- strict replay fails closed ---------------- *)
@@ -57,24 +65,22 @@ let test_shrink_idempotent_on_race () =
 let triangle () = Graph.of_edges ~n:3 [ (0, 1); (1, 2); (0, 2) ]
 
 let entry ?(sched = []) ?steps () =
-  let config =
-    {
-      Fuzz.variant = `Default;
-      init = `Clean;
-      graph = triangle ();
-      engine_seed = 7;
-      plan = Fault.empty;
-      double_corrupt = false;
-    }
-  in
+  let events = List.map Mdst_model.Model.event_of_string sched in
   let steps = match steps with Some s -> s | None -> List.length sched in
-  { Fuzz.config; sched; steps }
+  {
+    Scenario.variant = `Default;
+    init = `Clean;
+    graph = triangle ();
+    seed = 7;
+    oracle = Scenario.Lockstep;
+    schedule = Scenario.Events { events; steps };
+  }
 
 let fails_closed name e =
-  match Fuzz.replay e with
+  match Replay.replay e with
   | exception Failure _ -> ()
-  | Ok () -> Alcotest.failf "%s: replay fell back to default order" name
-  | Error (_, d) -> Alcotest.failf "%s: replay reported a trophy instead: %s" name d
+  | { failure = None; _ } -> Alcotest.failf "%s: replay fell back to default order" name
+  | { failure = Some f; _ } -> Alcotest.failf "%s: replay reported a failure instead: %s" name f.detail
 
 let test_replay_empty_schedule () = fails_closed "empty" (entry ())
 
@@ -95,34 +101,6 @@ let test_step_with_out_of_range () =
        false
      with Invalid_argument _ -> true)
 
-(* ---------------- entry reproducer format ---------------- *)
-
-let test_entry_print_parse_fixpoint () =
-  let lines =
-    [
-      "variant=default;init=clean;n=3;edges=0-1,0-2,1-2;seed=7;sched=t0,t1,0>1";
-      "variant=suppressed;init=random;n=4;ids=3,0,2,1;edges=0-1,1-2,2-3;seed=1;\
-       plan=seed=5|corrupt:3-9:1>2:0.5;steps=4;sched=t0,t1,0>1,t2";
-      "variant=default;init=legitimate;n=3;edges=0-1,1-2;seed=2;dc=1";
-    ]
-  in
-  List.iter
-    (fun line ->
-      let once = Fuzz.entry_to_string (Fuzz.entry_of_string line) in
-      let twice = Fuzz.entry_to_string (Fuzz.entry_of_string once) in
-      Alcotest.(check string) "printing is a fixpoint of parsing" once twice)
-    lines;
-  let rejects s =
-    try
-      ignore (Fuzz.entry_of_string s);
-      false
-    with Invalid_argument _ -> true
-  in
-  check "empty rejected" true (rejects "");
-  check "bad variant rejected" true (rejects "variant=wat;init=clean;n=3;edges=0-1,1-2;seed=1");
-  check "bad sched token rejected" true
-    (rejects "variant=default;init=clean;n=3;edges=0-1,1-2;seed=1;sched=xyz")
-
 (* ---------------- campaign soundness and trophy replay ---------------- *)
 
 (* No mutant forced: a bounded campaign must produce zero trophies in both
@@ -140,8 +118,8 @@ let test_campaign_sound_unmutated () =
       | [] -> ()
       | t :: _ ->
           Alcotest.failf "unmutated campaign produced a trophy: %s: %s  [%s]"
-            (Fuzz.kind_to_string t.Fuzz.t_kind) t.Fuzz.t_detail
-            (Fuzz.entry_to_string t.Fuzz.t_entry))
+            (Replay.kind_to_string t.Fuzz.t_kind) t.Fuzz.t_detail
+            (Scenario.to_string t.Fuzz.t_entry))
     [ `Fuzz; `Random_walk ]
 
 (* With a historical bug forced on, the campaign finds a trophy and its
@@ -156,12 +134,12 @@ let test_trophy_replays () =
   match st.Fuzz.s_trophies with
   | [] -> Alcotest.fail "campaign missed the forced suppression mutant"
   | t :: _ -> (
-      let line = Fuzz.entry_to_string t.Fuzz.t_entry in
-      match Fuzz.replay (Fuzz.entry_of_string line) with
-      | Error (k, _) ->
+      let line = Scenario.to_string t.Fuzz.t_entry in
+      match (Replay.replay (Scenario.of_string line)).failure with
+      | Some f ->
           Alcotest.(check string) "same trophy kind on replay"
-            (Fuzz.kind_to_string t.Fuzz.t_kind) (Fuzz.kind_to_string k)
-      | Ok () -> Alcotest.failf "trophy did not reproduce from its line: %s" line)
+            (Replay.kind_to_string t.Fuzz.t_kind) (Replay.kind_to_string f.kind)
+      | None -> Alcotest.failf "trophy did not reproduce from its line: %s" line)
 
 (* ---------------- committed benchmark anchor ---------------- *)
 
@@ -242,7 +220,6 @@ let () =
             test_replay_ineligible_channel;
           Alcotest.test_case "step_with rejects out-of-range" `Quick
             test_step_with_out_of_range;
-          Alcotest.test_case "entry print/parse fixpoint" `Quick test_entry_print_parse_fixpoint;
         ] );
       ( "campaign",
         [
