@@ -161,28 +161,30 @@ let test_shrink_case_joint () =
 
 (* ---------------- reproducer format ---------------- *)
 
-(* Lines in the three historical grammars (conformance, convergence,
-   fuzzer) all read as scenarios, and printing is a fixpoint of parsing. *)
-let test_case_print_parse_fixpoint () =
-  let lines =
-    [
-      "n=4;edges=0-1,1-2,2-3,0-3;seed=7;plan=seed=3|drop:0-10:0>1:0.5";
-      "n=4;ids=2,0,3,1;edges=0-1,1-2,2-3;seed=1;plan=seed=0";
-      "n=3;edges=0-1,1-2;seed=0;plan=seed=9|dup:3-4:1>0:0.75:2|crash:5:2:init";
-      "n=4;edges=0-1,1-2,2-3,0-3;seed=7;init=random;events=40";
-      "n=3;ids=2,0,1;edges=0-1,1-2;seed=1;init=clean;events=5";
-      "variant=default;init=clean;n=3;edges=0-1,0-2,1-2;seed=7;sched=t0,t1,0>1";
-      "variant=suppressed;init=random;n=4;ids=3,0,2,1;edges=0-1,1-2,2-3;seed=1;\
-       plan=seed=5|corrupt:3-9:1>2:0.5;steps=4;sched=t0,t1,0>1,t2";
-      "variant=default;init=legitimate;n=3;edges=0-1,1-2;seed=2;dc=1";
-    ]
-  in
+let rejects s =
+  try
+    ignore (Scenario.of_string s);
+    false
+  with Invalid_argument _ -> true
+
+let check_print_parse_fixpoint lines =
   List.iter
     (fun line ->
       let once = Scenario.to_string (Scenario.of_string line) in
       let twice = Scenario.to_string (Scenario.of_string once) in
       Alcotest.(check string) "printing is a fixpoint of parsing" once twice)
-    lines;
+    lines
+
+(* Convergence lines read as scenarios with the convergence oracle, and
+   printing is a fixpoint of parsing.  The conformance and fuzzer
+   grammars have their own cases below and in test_fuzz.ml. *)
+let test_case_print_parse_fixpoint () =
+  check_print_parse_fixpoint
+    [
+      "n=4;edges=0-1,1-2,2-3,0-3;seed=7;plan=seed=3|drop:0-10:0>1:0.5";
+      "n=4;ids=2,0,3,1;edges=0-1,1-2,2-3;seed=1;plan=seed=0";
+      "n=3;edges=0-1,1-2;seed=0;plan=seed=9|dup:3-4:1>0:0.75:2|crash:5:2:init";
+    ];
   let oracle line = (Scenario.of_string line).oracle in
   check "plan= means the convergence oracle" true
     (oracle "n=4;ids=2,0,3,1;edges=0-1,1-2,2-3;seed=1;plan=seed=0" = Scenario.Converge Fault.empty);
@@ -192,24 +194,10 @@ let test_case_print_parse_fixpoint () =
     ((Scenario.of_string "n=3;edges=0-1,1-2;seed=1;plan=seed=0").init = `Random)
 
 let test_case_rejects_malformed () =
-  let rejects s =
-    try
-      ignore (Scenario.of_string s);
-      false
-    with Invalid_argument _ -> true
-  in
   check "empty" true (rejects "");
   check "missing edges" true (rejects "n=4;seed=1;plan=seed=0");
   check "bad edge" true (rejects "n=4;edges=0~1;seed=1;plan=seed=0");
-  check "unknown key" true (rejects "n=4;edges=0-1;wat=1");
-  check "bad init" true (rejects "n=3;edges=0-1,1-2;seed=1;init=wat;events=5");
-  check "bad events" true (rejects "n=3;edges=0-1,1-2;seed=1;init=clean;events=-2");
-  check "bad variant" true (rejects "variant=wat;init=clean;n=3;edges=0-1,1-2;seed=1");
-  check "bad sched token" true
-    (rejects "variant=default;init=clean;n=3;edges=0-1,1-2;seed=1;sched=xyz");
-  (* omitted events falls back to the documented default *)
-  check "events default" true
-    ((Scenario.of_string "n=3;edges=0-1,1-2;seed=1;init=clean").schedule = Scenario.Natural 100)
+  check "unknown key" true (rejects "n=4;edges=0-1;wat=1")
 
 (* ---------------- protocol properties ---------------- *)
 
@@ -238,6 +226,27 @@ let test_suppressed_convergence () =
       Alcotest.fail (Property.render ~name:property.Property.name c)
 
 (* ---------------- conformance / explorer / mutants ---------------- *)
+
+(* Conformance lines (init=, events=) read as lockstep scenarios in the
+   engine's natural order; printing is a fixpoint of parsing. *)
+let test_conformance_format () =
+  let lines =
+    [
+      "n=4;edges=0-1,1-2,2-3,0-3;seed=7;init=random;events=40";
+      "n=3;ids=2,0,1;edges=0-1,1-2;seed=1;init=clean;events=5";
+    ]
+  in
+  check_print_parse_fixpoint lines;
+  List.iter
+    (fun line ->
+      check "events= means the lockstep oracle" true
+        ((Scenario.of_string line).oracle = Scenario.Lockstep))
+    lines;
+  check "bad init" true (rejects "n=3;edges=0-1,1-2;seed=1;init=wat;events=5");
+  check "bad events" true (rejects "n=3;edges=0-1,1-2;seed=1;init=clean;events=-2");
+  (* omitted events falls back to the documented default *)
+  check "events default" true
+    ((Scenario.of_string "n=3;edges=0-1,1-2;seed=1;init=clean").schedule = Scenario.Natural 100)
 
 (* A long adversarial-start lockstep run on K5: enough events to cover
    every message family, including the Remove/Grant/Reverse swap pass. *)
@@ -362,6 +371,7 @@ let () =
         ] );
       ( "conformance",
         [
+          Alcotest.test_case "case print/parse fixpoint" `Quick test_conformance_format;
           Alcotest.test_case "lockstep on K5 adversarial start" `Quick
             test_conformance_lockstep;
         ] );

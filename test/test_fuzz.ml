@@ -101,6 +101,36 @@ let test_step_with_out_of_range () =
        false
      with Invalid_argument _ -> true)
 
+(* ---------------- entry reproducer format ---------------- *)
+
+(* Fuzzer entry lines (variant=, sched=, steps=, dc=) read as scenarios;
+   printing is a fixpoint of parsing. *)
+let test_entry_print_parse_fixpoint () =
+  let lines =
+    [
+      "variant=default;init=clean;n=3;edges=0-1,0-2,1-2;seed=7;sched=t0,t1,0>1";
+      "variant=suppressed;init=random;n=4;ids=3,0,2,1;edges=0-1,1-2,2-3;seed=1;\
+       plan=seed=5|corrupt:3-9:1>2:0.5;steps=4;sched=t0,t1,0>1,t2";
+      "variant=default;init=legitimate;n=3;edges=0-1,1-2;seed=2;dc=1";
+    ]
+  in
+  List.iter
+    (fun line ->
+      let once = Scenario.to_string (Scenario.of_string line) in
+      let twice = Scenario.to_string (Scenario.of_string once) in
+      Alcotest.(check string) "printing is a fixpoint of parsing" once twice)
+    lines;
+  let rejects s =
+    try
+      ignore (Scenario.of_string s);
+      false
+    with Invalid_argument _ -> true
+  in
+  check "empty rejected" true (rejects "");
+  check "bad variant rejected" true (rejects "variant=wat;init=clean;n=3;edges=0-1,1-2;seed=1");
+  check "bad sched token rejected" true
+    (rejects "variant=default;init=clean;n=3;edges=0-1,1-2;seed=1;sched=xyz")
+
 (* ---------------- campaign soundness and trophy replay ---------------- *)
 
 (* No mutant forced: a bounded campaign must produce zero trophies in both
@@ -220,6 +250,7 @@ let () =
             test_replay_ineligible_channel;
           Alcotest.test_case "step_with rejects out-of-range" `Quick
             test_step_with_out_of_range;
+          Alcotest.test_case "entry print/parse fixpoint" `Quick test_entry_print_parse_fixpoint;
         ] );
       ( "campaign",
         [
